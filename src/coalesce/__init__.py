@@ -11,6 +11,9 @@ Units: c = 1, L = 1 (wavenumber = angular frequency); SI units appear
 only in the membrane enhancement estimates of :mod:`coalesce.two_mode`.
 """
 
+# defined before the submodule imports, which read it back
+__version__ = "0.1.0"
+
 from .closed_form import (
     ClosedFormReport,
     PairPeaks,
@@ -57,7 +60,6 @@ from .experiments import (
 from .spectrum import (
     BranchPoint,
     ResonancePeak,
-    SpectrumSample,
     find_merge_point,
     find_peaks,
     peak_halfwidth,
@@ -79,5 +81,3 @@ from .two_mode import (
     two_mode_resonant_transmission,
     two_mode_transmission,
 )
-
-__version__ = "0.1.0"

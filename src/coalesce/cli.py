@@ -17,13 +17,14 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import closed_form, experiments, spectrum, two_mode
+from . import __version__, closed_form, experiments, spectrum, two_mode
 from .core_scatter import (CavitySystem, effective_polarizability,
                            maximize_stack_polarizability)
 from .errors import (
@@ -39,7 +40,9 @@ from .errors import (
 
 __all__ = ["RunConfig", "load_config", "main", "run"]
 
-_VERSION = "0.1.0"
+# Arguments argparse must read as (negative) numbers rather than flags; its
+# default matcher misses exponent notation such as -1e3 before Python 3.13.
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 _ERROR_TOKENS = (
     (DivergentSensitivityError, "divergent-sensitivity"),
@@ -191,10 +194,11 @@ def _build_parser():
         prog="coalesce",
         description="Transfer-matrix Fabry-Perot cavity with a movable "
                     "middle reflector: spectra, coalescence, readout.")
-    parser.add_argument("--version", action="version", version=_VERSION)
+    parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for name, table in _OPTIONS.items():
         sub = subs.add_parser(name)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
         if name == "figures":
             sub.add_argument("figure",
                              choices=("fig1", "fig2", "fig3",
@@ -309,7 +313,7 @@ def _emit(values, params, columns=None, record=None, annotations=None):
 
 
 def _params_echo(name, values, skip=("output", "format")):
-    params = {"subcommand": name, "version": _VERSION}
+    params = {"subcommand": name, "version": __version__}
     params.update({k: v for k, v in values.items() if k not in skip})
     return params
 
@@ -326,11 +330,10 @@ def _system_from(values):
 
 
 def _cmd_spectrum(values):
-    samples = spectrum.scan_transmission(_system_from(values),
-                                         values["kmin"], values["kmax"],
-                                         values["points"])
-    columns = {"k": [s.k for s in samples], "T": [s.T for s in samples]}
-    return columns, None, None
+    ks, ts = spectrum.scan_transmission(_system_from(values),
+                                        values["kmin"], values["kmax"],
+                                        values["points"])
+    return {"k": ks.tolist(), "T": ts.tolist()}, None, None
 
 
 def _cmd_peaks(values):

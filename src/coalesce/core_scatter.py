@@ -19,18 +19,20 @@ and a single scatterer has |t|^2 = 1/(1 + zeta^2),
 
 All matrices produced here are unimodular (det = 1) and carry the
 lossless structure m11 = conj(m22), m12 = conj(m21), which implies
-|m22|^2 = 1 + |m21|^2 exactly.  :func:`transmission` exploits that
+|m22|^2 = 1 + |m21|^2 exactly.  Products are therefore carried as the
+pair (a, b) = (m11, m12) alone, as Python complex numbers for a scalar
+wavenumber and numpy arrays otherwise.  :func:`transmission` exploits the
 identity and evaluates T = 1/(1 + |m21|^2); it is algebraically equal to
 1/|m22|^2 but remains accurate (and <= 1) when near-unity transmission
 would otherwise suffer cancellation between large matrix entries.
 
-Every function is pure; systems are immutable.  Wavenumber arguments may
-be scalars or numpy arrays, in which case matrices are stacked along the
-leading axes.
+Every function is pure; systems are immutable.  For array wavenumbers,
+matrices are stacked along the leading axes.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,7 +76,7 @@ class CavitySystem:
     def __post_init__(self):
         object.__setattr__(self, "zeta_end",
                            _check_finite_real("zeta_end", self.zeta_end))
-        els = []
+        els, hops = [], []
         prev = 0.0
         for item in self.elements:
             pos, zeta = item
@@ -86,9 +88,12 @@ class CavitySystem:
             if pos <= prev:
                 raise InvalidParameterError(
                     "element positions must be strictly increasing")
+            hops.append((pos - prev, zeta))
             prev = pos
             els.append((pos, zeta))
+        hops.append((1.0 - prev, self.zeta_end))   # (gap, zeta) steps
         object.__setattr__(self, "elements", tuple(els))
+        object.__setattr__(self, "_hops", tuple(hops))
 
     @classmethod
     def empty(cls, zeta_end):
@@ -136,6 +141,58 @@ def propagation_matrix(k, d):
     return out if karr.shape else out.reshape(2, 2)
 
 
+def _check_k(k):
+    """Validated wavenumber: a float for scalar input, else a float array."""
+    scalar = isinstance(k, float) or np.ndim(k) == 0  # floats skip np.ndim
+    k = float(k) if scalar else np.asarray(k, dtype=float)
+    if not (0.0 < k < math.inf if scalar
+            else np.all((0.0 < k) & (k < math.inf))):
+        raise InvalidParameterError("wavenumber k must be finite and > 0")
+    return k
+
+
+def _compose(zeta_first, hops, k):
+    """Entries (a, b) of the lossless product [[a, b], [b*, a*]].
+
+    Starts from the scatterer ``zeta_first`` and applies each hop
+    ``(d, zeta)``: propagate by ``d``, then scatter by ``zeta``.  A float
+    ``k`` runs on Python complex numbers, an array ``k`` on numpy arrays
+    of its shape.  Consecutive equal gaps reuse their phase factor.
+    """
+    exp = np.exp if isinstance(k, np.ndarray) else cmath.exp
+    a, b = 1.0 + 1j * zeta_first, 1j * zeta_first
+    e = d_prev = None
+    for d, zeta in hops:
+        if d != d_prev:
+            e, d_prev = exp(1j * (k * d)), d
+        a, b = e * a, e * b
+        u = a + b.conjugate()
+        a, b = a + 1j * zeta * u, b + 1j * zeta * u.conjugate()
+    return a, b
+
+
+def _system_ab(system, k):
+    return _compose(system.zeta_end, system._hops, _check_k(k))
+
+
+def _stack_ab(elements, k):
+    els = [(_check_finite_real("element position", pos),
+            _check_finite_real("zeta", zeta)) for pos, zeta in elements]
+    if not els:
+        raise InvalidParameterError("stack needs at least one element")
+    if any(q <= p for (p, _), (q, _) in zip(els, els[1:])):
+        raise InvalidParameterError(
+            "element positions must be strictly increasing")
+    hops = [(q - p, zeta) for (p, _), (q, zeta) in zip(els, els[1:])]
+    return _compose(els[0][1], hops, _check_k(k))
+
+
+def _matrix(a, b):
+    """Stack (a, b) into [[a, b], [b*, a*]] along the trailing two axes."""
+    m = np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=complex)
+    return np.moveaxis(m, (0, 1), (-2, -1))
+
+
 def system_matrix(system: CavitySystem, k):
     """Ordered transfer matrix of the full cavity at wavenumber ``k``.
 
@@ -143,13 +200,7 @@ def system_matrix(system: CavitySystem, k):
     the interior elements with their gaps, propagation from the left
     mirror, end mirror.
     """
-    end = scatter_matrix(system.zeta_end)
-    m = end
-    pos = 0.0
-    for element_pos, zeta in system.elements:
-        m = scatter_matrix(zeta) @ (propagation_matrix(k, element_pos - pos) @ m)
-        pos = element_pos
-    return end @ (propagation_matrix(k, 1.0 - pos) @ m)
+    return _matrix(*_system_ab(system, k))
 
 
 def stack_matrix(elements: Sequence, k):
@@ -159,20 +210,7 @@ def stack_matrix(elements: Sequence, k):
     with strictly increasing positions; only the gaps between elements
     enter.
     """
-    els = list(elements)
-    if not els:
-        raise InvalidParameterError("stack needs at least one element")
-    prev_pos, zeta = els[0]
-    prev_pos = _check_finite_real("element position", prev_pos)
-    m = scatter_matrix(zeta)
-    for pos, zeta in els[1:]:
-        pos = _check_finite_real("element position", pos)
-        if pos <= prev_pos:
-            raise InvalidParameterError(
-                "element positions must be strictly increasing")
-        m = scatter_matrix(zeta) @ (propagation_matrix(k, pos - prev_pos) @ m)
-        prev_pos = pos
-    return m
+    return _matrix(*_stack_ab(elements, k))
 
 
 def transmission(system: CavitySystem, k):
@@ -181,9 +219,8 @@ def transmission(system: CavitySystem, k):
     Evaluated as 1/(1 + |m21|^2) via the lossless identity
     |m22|^2 = 1 + |m21|^2, so the result never exceeds 1.
     """
-    m = system_matrix(system, k)
-    t = 1.0 / (1.0 + np.abs(m[..., 1, 0]) ** 2)
-    return float(t) if np.ndim(k) == 0 else t
+    _, b = _system_ab(system, k)
+    return 1.0 / (1.0 + (b.real * b.real + b.imag * b.imag))
 
 
 def reflection_amplitude(system: CavitySystem, k):
@@ -191,9 +228,8 @@ def reflection_amplitude(system: CavitySystem, k):
 
     Satisfies |r|^2 + T = 1 for every lossless system.
     """
-    m = system_matrix(system, k)
-    r = -m[..., 1, 0] / m[..., 1, 1]
-    return complex(r) if np.ndim(k) == 0 else r
+    a, b = _system_ab(system, k)
+    return -b.conjugate() / a.conjugate()
 
 
 def effective_polarizability(elements: Sequence, k):
@@ -204,11 +240,8 @@ def effective_polarizability(elements: Sequence, k):
     independent of ``k``.  A perfectly reflecting stack (t = 0) would be
     reported as ``inf``; it is unreachable for finite polarizabilities.
     """
-    karr = np.asarray(k, dtype=float)
-    if not np.all(np.isfinite(karr)) or not np.all(karr > 0):
-        raise InvalidParameterError("wavenumber k must be finite and > 0")
-    m = stack_matrix(elements, k)
-    val = np.abs(m[..., 1, 0])
+    _, b = _stack_ab(elements, k)
+    val = np.abs(b)
     val = np.where(np.isfinite(val), val, np.inf)
     return float(val) if np.ndim(k) == 0 else val
 
@@ -232,15 +265,8 @@ def maximize_stack_polarizability(zeta, n_elements, k=2.0 * math.pi,
     if n_grid < 2 or spacing_max <= 0:
         raise InvalidParameterError("need spacing_max > 0 and n_grid >= 2")
     ds = np.linspace(spacing_max / n_grid, spacing_max, n_grid)
-    phase = np.exp(1j * float(k) * ds)
-    props = np.zeros(ds.shape + (2, 2), dtype=complex)
-    props[..., 0, 0] = phase
-    props[..., 1, 1] = np.conj(phase)
-    single = scatter_matrix(z)
-    hop = single @ props
-    m = np.broadcast_to(single, ds.shape + (2, 2)).copy()
-    for _ in range(n - 1):
-        m = hop @ m
-    vals = np.abs(m[..., 1, 0])
+    # unit hops at wavenumbers k*d carry the phases e^{ikd} of every spacing
+    _, b = _compose(z, [(1.0, z)] * (n - 1), float(k) * ds)
+    vals = np.abs(b)
     i = int(np.argmax(vals))
     return float(vals[i]), float(ds[i])

@@ -22,9 +22,10 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from . import closed_form, spectrum, two_mode
+from . import __version__, closed_form, spectrum, two_mode
 from .core_scatter import CavitySystem
-from .errors import InvalidParameterError
+from .errors import (EdgeTruncationError, InvalidParameterError,
+                     PairIdentificationError)
 
 __all__ = [
     "FigureDataset",
@@ -34,8 +35,6 @@ __all__ = [
     "run_fig3_mode_pulling",
     "run_threshold_sweep",
 ]
-
-_VERSION = "0.1.0"
 
 DEFAULT_ZETA = -10.0
 FIG1_ZETA_M_LIST = (0.0, -20.0, -80.0, -201.0, -400.0)
@@ -89,9 +88,9 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
 
     def trace(zm):
         system = CavitySystem.with_middle(zeta, zm)
-        return _grid(np.asarray(
-            [s.T for s in spectrum.scan_transmission(system, k_min, k_max,
-                                                     int(n_points))]))
+        _, ts = spectrum.scan_transmission(system, k_min, k_max,
+                                           int(n_points))
+        return _grid(ts)
 
     traces = _ordered_map(trace, zeta_m_list)
     columns = {"k": _grid(ks)}
@@ -111,7 +110,7 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
               "zeta_m_list": [float(z) for z in zeta_m_list],
               "k_window": [k_min, k_max],
               "n_points": int(n_points),
-              "version": _VERSION}
+              "version": __version__}
     return FigureDataset(name="fig1_spectra", columns=columns, params=params,
                          annotations=annotations)
 
@@ -138,7 +137,7 @@ def track_resonance(zeta, zeta_m, x_values: Sequence, k_start,
                                     center + half_width,
                                     grid_per_kappa=grid_per_kappa)
         if not peaks:
-            raise InvalidParameterError(
+            raise PairIdentificationError(
                 f"resonance tracking lost the peak at x = {x}")
         best = min(peaks, key=lambda p: abs(p.k_peak - center))
         out.append((best.k_peak, best.T_peak))
@@ -221,7 +220,7 @@ def run_fig2_resonant_transmission(zeta=DEFAULT_ZETA,
               "zeta_m_list": [float(z) for z in zeta_m_list],
               "x_grid": [float(x) for x in xs],
               "pair_index": int(pair_index),
-              "version": _VERSION}
+              "version": __version__}
     return FigureDataset(name="fig2_resonant_transmission", columns=columns,
                          params=params)
 
@@ -265,7 +264,7 @@ def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=FIG3_ZETA_M,
               "x_grid": [float(x) for x in xs],
               "k_window": [float(k_window[0]), float(k_window[1])],
               "pair_index": int(pair_index),
-              "version": _VERSION}
+              "version": __version__}
     return FigureDataset(name="fig3_mode_pulling", columns=columns,
                          params=params)
 
@@ -293,7 +292,7 @@ def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
             pk = peaks[0]
             try:
                 width = 2.0 * spectrum.peak_halfwidth(system, pk)
-            except Exception:
+            except EdgeTruncationError:
                 width = math.nan
             return (1, pk.k_peak, pk.T_peak, math.nan, math.nan, width)
         return (0, math.nan, math.nan, math.nan, math.nan, math.nan)
@@ -316,6 +315,6 @@ def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
               "pair_index": int(pair_index),
               "zeta_m_star": star,
               "zeta_m_merge": merge,
-              "version": _VERSION}
+              "version": __version__}
     return FigureDataset(name="threshold_sweep", columns=columns,
                          params=params)

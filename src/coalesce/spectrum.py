@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import bisect
@@ -31,7 +31,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SpectrumSample",
     "ResonancePeak",
     "BranchPoint",
     "scan_transmission",
@@ -42,13 +41,6 @@ __all__ = [
 ]
 
 _MAX_GRID_POINTS = 5_000_000
-
-
-class SpectrumSample(NamedTuple):
-    """One (wavenumber, transmission) sample."""
-
-    k: float
-    T: float
 
 
 @dataclass(frozen=True)
@@ -77,7 +69,7 @@ class BranchPoint:
 
 
 def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
-    """Uniformly sample T(k) on [k_min, k_max] with n_points samples."""
+    """Uniformly sample T(k) on [k_min, k_max]: arrays ``(ks, ts)``."""
     k_min, k_max = float(k_min), float(k_max)
     if not (math.isfinite(k_min) and math.isfinite(k_max)
             and 0.0 < k_min < k_max):
@@ -89,8 +81,7 @@ def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
     if n > _MAX_GRID_POINTS:
         raise InvalidParameterError(f"n_points {n} exceeds {_MAX_GRID_POINTS}")
     ks = np.linspace(k_min, k_max, n)
-    ts = transmission(system, ks)
-    return [SpectrumSample(float(k), float(t)) for k, t in zip(ks, ts)]
+    return ks, transmission(system, ks)
 
 
 def _refine_maximum(f, x1, x2, x3, f2, tol):

@@ -210,6 +210,30 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error[not-bracketed]:")
 
+    def test_lost_peak_is_pair_identification(self, capsys):
+        # weak mirrors near the threshold: the broad pair leaves the
+        # tracking window as the middle element moves
+        code, _, err = run_cli(capsys, "sweep-x", "--zeta=-0.3",
+                               "--zeta-m=-0.59", "--xmin=-0.05",
+                               "--xmax=0.05", "--xpoints", "9")
+        assert code == 3
+        assert err.startswith("error[pair-identification]:")
+
+
+class TestNegativeNumbers:
+    @pytest.mark.parametrize("text", ["-1e3", "-1E-2", "-.5"])
+    def test_both_spellings_parse(self, capsys, text):
+        spaced = run_cli(capsys, "splitting", "--zeta-m", text,
+                         "--format", "json")
+        joined = run_cli(capsys, "splitting", f"--zeta-m={text}",
+                         "--format", "json")
+        assert spaced[0] == 0 and spaced == joined
+        assert json.loads(spaced[1])["params"]["zeta_m"] == float(text)
+
+    def test_negative_flag_like_value_still_rejected(self, capsys):
+        code, _, _ = run_cli(capsys, "splitting", "--zeta-m", "-x")
+        assert code == 2
+
 
 class TestFiguresSubcommand:
     def test_fig1_csv_columns(self, capsys):

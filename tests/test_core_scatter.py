@@ -1,6 +1,7 @@
 """Transfer-matrix building blocks against their single-element closed forms."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -271,3 +272,76 @@ class TestParity:
         minus = CavitySystem.with_middle(zeta_end, zeta_m, -x)
         assert transmission(plus, k) == pytest.approx(
             transmission(minus, k), abs=1e-12)
+
+
+def plain_product(mats):
+    # matrices listed left to right along the axis; each one acts after
+    # the ones before it
+    return reduce(lambda m, nxt: nxt @ m, mats)
+
+
+def chain(first_zeta, hops, k):
+    mats = [scatter_matrix(first_zeta)]
+    for d, zeta in hops:
+        mats += [propagation_matrix(k, d), scatter_matrix(zeta)]
+    return mats
+
+
+strong_zetas = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+wide_ks = st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1,
+                   max_size=4)
+element_lists = st.lists(
+    st.tuples(st.floats(min_value=0.001, max_value=0.999), strong_zetas),
+    min_size=1, max_size=8, unique_by=lambda el: el[0]).map(sorted)
+
+
+def assert_matches_plain(fast, plain, err):
+    # fast: a (..., 2, 2) matrix; err bounds the round-off of any entry
+    np.testing.assert_allclose(fast, plain, rtol=0, atol=err)
+    np.testing.assert_array_equal(fast[..., 1, 1], np.conj(fast[..., 0, 0]))
+    np.testing.assert_array_equal(fast[..., 1, 0], np.conj(fast[..., 0, 1]))
+
+
+class TestKernelAgainstPlainProduct:
+    """The (a, b) kernel against the explicit 2x2 product of the factors.
+
+    Every entry of a chain is bounded by ``product_condition`` of its
+    polarizabilities, so 1e-12 of it bounds the round-off ``err`` of any
+    entry; T and r inherit their bounds from err through
+    T = 1/(1 + |m21|^2) and r = -m21/m22 with |m22| >= 1.
+    """
+
+    @given(strong_zetas, element_lists, wide_ks)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_system(self, zeta_end, elements, ks):
+        system = CavitySystem(zeta_end=zeta_end, elements=tuple(elements))
+        hops, pos = [], 0.0
+        for p, z in elements:
+            hops.append((p - pos, z))
+            pos = p
+        hops.append((1.0 - pos, zeta_end))
+        err = 1e-12 * product_condition(
+            zeta_end, zeta_end, *(z for _, z in elements))
+        for k in (ks[0], np.array(ks)):
+            plain = plain_product(chain(zeta_end, hops, k))
+            assert_matches_plain(system_matrix(system, k), plain, err)
+            m21, m22 = plain[..., 1, 0], plain[..., 1, 1]
+            t_plain = 1.0 / (1.0 + np.abs(m21) ** 2)
+            t_err = t_plain ** 2 * (2.0 * np.abs(m21) * err + err ** 2)
+            t_fast = transmission(system, k)
+            r_fast = reflection_amplitude(system, k)
+            assert np.ndim(t_fast) == np.ndim(r_fast) == np.ndim(k)
+            assert np.all(np.abs(t_fast - t_plain) <= t_err + 1e-15)
+            r_err = 2.0 * err / np.abs(m22)
+            assert np.all(np.abs(r_fast - (-m21 / m22)) <= r_err + 1e-15)
+
+    @given(element_lists, wide_ks)
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    def test_stack(self, elements, ks):
+        hops = [(p - q, z) for (q, _), (p, z) in zip(elements, elements[1:])]
+        err = 1e-12 * product_condition(*(z for _, z in elements))
+        for k in (ks[0], np.array(ks)):
+            plain = plain_product(chain(elements[0][1], hops, k))
+            assert_matches_plain(stack_matrix(elements, k), plain, err)
+            zeta_eff = effective_polarizability(elements, k)
+            assert np.all(np.abs(zeta_eff - np.abs(plain[..., 1, 0])) <= err)

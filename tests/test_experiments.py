@@ -7,6 +7,7 @@ import pytest
 
 from coalesce import (
     CavitySystem,
+    PairIdentificationError,
     bare_linewidth,
     bare_resonance,
     coalescence_threshold,
@@ -21,6 +22,8 @@ from coalesce import (
     run_threshold_sweep,
     tunneling_rate,
 )
+from coalesce import spectrum
+from coalesce.experiments import track_resonance
 
 STAR = coalescence_threshold(-10.0)
 
@@ -155,6 +158,13 @@ class TestFig3:
         assert a == b
 
 
+class TestTrackResonance:
+    def test_lost_peak_is_pair_identification(self):
+        # nothing resonates within 0.35 of k = 4.7 at zeta_m = -50
+        with pytest.raises(PairIdentificationError):
+            track_resonance(-10.0, -50.0, [0.0], 4.7)
+
+
 class TestThresholdSweep:
     def test_peak_count_transitions_at_threshold(self, sweep):
         merge = sweep.params["zeta_m_merge"]
@@ -172,6 +182,14 @@ class TestThresholdSweep:
         assert len(heights) >= 3
         for a, b in zip(heights, heights[1:]):
             assert b <= a + 1e-9
+
+    def test_unrelated_error_in_width_propagates(self, monkeypatch):
+        def broken(*_args, **_kwargs):
+            raise RuntimeError("not a truncation")
+
+        monkeypatch.setattr(spectrum, "peak_halfwidth", broken)
+        with pytest.raises(RuntimeError, match="not a truncation"):
+            run_threshold_sweep(zeta_m_grid=(STAR * 0.9, STAR * 1.1))
 
     def test_merged_width_reported(self, sweep):
         for n, w in zip(sweep.columns["n_peaks"],
