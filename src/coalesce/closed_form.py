@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from scipy.optimize import bisect
-
 from .errors import (
     AboveThresholdError,
     InternalConsistencyError,
@@ -37,6 +35,7 @@ from .errors import (
 )
 
 __all__ = [
+    "bisect",
     "bare_resonance",
     "bare_linewidth",
     "mode_splitting",
@@ -53,11 +52,45 @@ __all__ = [
 ]
 
 
+_RTOL = 4.0 * math.ulp(1.0)   # SciPy's default rtol, 4 eps
+
+
 def _finite(name, value):
     v = float(value)
     if not math.isfinite(v):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return v
+
+
+def bisect(f, lo, hi, xtol):
+    """Root of ``f`` in [lo, hi] by bisection, step for step as SciPy's.
+
+    Each step halves ``dm``, tries ``xm = lo + dm`` and moves ``lo`` there
+    when f(xm) has the sign of f(lo); it stops when f(xm) is 0 or
+    |dm| < xtol + 4*eps*|xm|, so each root is the float SciPy's
+    ``optimize.bisect`` returns.  Raises :class:`InvalidParameterError`
+    unless xtol > 0, and :class:`NotBracketedError` when f(lo) and f(hi)
+    are nonzero of one sign (or NaN) or after 100 steps.
+    """
+    if not xtol > 0.0:   # also refuses NaN
+        raise InvalidParameterError(f"xtol must be > 0, got {xtol!r}")
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+        raise NotBracketedError(f"no sign change of f on [{lo}, {hi}]")
+    dm = hi - lo
+    for _ in range(100):
+        dm *= 0.5
+        xm = lo + dm
+        fm = f(xm)
+        if (fm > 0.0) == (flo > 0.0):   # signs, not a product that underflows
+            lo = xm
+        if fm == 0.0 or abs(dm) < xtol + _RTOL * abs(xm):
+            return xm
+    raise NotBracketedError("bisection did not converge in 100 steps")
 
 
 def bare_resonance(n, zeta):
@@ -208,14 +241,6 @@ def lossless_eigenmodes(zeta_m, x, bracket):
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidParameterError(f"bad bracket {bracket!r}")
     f = _lossless_condition(zm, xv)
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NotBracketedError(
-            f"no sign change of the eigenvalue condition on [{lo}, {hi}]")
     root = bisect(f, lo, hi, xtol=1e-12)
     # a sign change across a cotangent pole is not a root; the residual
     # bound scales with the slope at a genuine root, ~ (1 + zeta_m^2)

@@ -184,7 +184,11 @@ def _stack_ab(elements, k):
         raise InvalidParameterError(
             "element positions must be strictly increasing")
     hops = [(q - p, zeta) for (p, _), (q, zeta) in zip(els, els[1:])]
-    return _compose(els[0][1], hops, _check_k(k))
+    k = _check_k(k)
+    a, b = _compose(els[0][1], hops, k)
+    if not hops and isinstance(k, np.ndarray):  # no phase carried k's shape
+        a, b = np.full(k.shape, a), np.full(k.shape, b)
+    return a, b
 
 
 def _matrix(a, b):

@@ -5,7 +5,10 @@ linewidth kappa (grid step = kappa / grid_per_kappa), detect local
 maxima with a small prominence floor (so the flat top of a merging pair
 is not miscounted as several noise peaks), and polish each maximum with
 iterated three-point parabolic interpolation inside its bracketing grid
-cell.  Everything is a pure function of its inputs: identical calls
+cell.  The grid maxima and their prominences are computed in-house,
+with the rules of SciPy's ``signal.find_peaks``, and half-widths use
+:func:`closed_form.bisect`, so numpy is the only runtime dependency.
+Everything is a pure function of its inputs: identical calls
 return identical results, and grids may be evaluated in parallel as long
 as results are assembled in input order (numpy evaluation here is
 already ordered).
@@ -18,8 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import bisect
-from scipy.signal import find_peaks as _grid_maxima
 
 from . import closed_form
 from .core_scatter import CavitySystem, transmission
@@ -82,6 +83,58 @@ def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
         raise InvalidParameterError(f"n_points {n} exceeds {_MAX_GRID_POINTS}")
     ks = np.linspace(k_min, k_max, n)
     return ks, transmission(system, ks)
+
+
+def _grid_maxima(ts, prominence):
+    """Indices of the grid maxima of ``ts`` at least ``prominence`` high.
+
+    The rules are those of SciPy's ``signal.find_peaks``.  A maximum is a
+    rise, an optional flat top and a fall; a flat top reports its
+    midpoint, and a top touching an end of the array is no maximum.  The
+    result is an index array in increasing order.  On each side the
+    base is the lowest sample down to the nearest strictly higher sample
+    or the array end, and a maximum is kept when it stands at least
+    ``prominence`` above the higher of its two bases.
+    """
+    x = np.asarray(ts, dtype=float)
+    up, down = x[1:] > x[:-1], x[1:] < x[:-1]
+    # a rise ends at x[left]; the top runs over equal samples to x[right]
+    left = np.flatnonzero(up[:-1] > up[1:]) + 1
+    right = left.copy()
+    moves = up | down
+    for n in np.flatnonzero(~down[left]):   # flat tops, rare on spectra
+        right[n] = left[n] + np.argmax(moves[left[n]:])
+    peaks = ((left + right) // 2)[down[right]]
+    if not peaks.size:
+        return peaks
+    # between consecutive tops (the maxima and both array ends) the
+    # samples fall and then rise, so a base is the lowest of the valleys
+    # between its maximum and the nearest strictly higher top
+    tops = np.concatenate(([0], peaks, [x.size - 1]))
+    heights = x[tops].tolist()
+    valleys = np.minimum.reduceat(x, tops[:-1]).tolist()
+    left_base = _bases(heights, valleys)
+    right_base = _bases(heights[::-1], valleys[::-1])[::-1]
+    base = np.maximum(left_base[1:-1], right_base[1:-1])
+    return peaks[x[peaks] - base >= prominence]
+
+
+def _bases(heights, valleys):
+    """Lowest valley left of each top, back to a strictly higher top.
+
+    ``valleys[i]`` is the lowest sample between tops i and i + 1.  One
+    pass with a stack of tops in falling height order; a popped top hands
+    its own base on to the top that popped it.
+    """
+    out = [math.inf] * len(heights)
+    stack = [0]
+    for i in range(1, len(heights)):
+        low = valleys[i - 1]
+        while stack and heights[stack[-1]] <= heights[i]:
+            low = min(low, out[stack.pop()])
+        out[i] = low
+        stack.append(i)
+    return out
 
 
 def _refine_maximum(f, x1, x2, x3, f2, tol):
@@ -172,7 +225,7 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
             f"refine_tol must be in (0, 1e-8], got {refine_tol}")
     ks = _grid_for(system, k_min, k_max, grid_per_kappa)
     ts = transmission(system, ks)
-    idx, _ = _grid_maxima(ts, prominence=prominence)
+    idx = _grid_maxima(ts, prominence)
 
     def f(k):
         return transmission(system, float(k))
@@ -228,8 +281,8 @@ def peak_halfwidth(system: CavitySystem, peak: ResonancePeak,
                     f"{'left' if sign < 0 else 'right'} side")
         lo = peak.k_peak + sign * prev
         hi = peak.k_peak + sign * h
-        root = bisect(lambda k: f(k) - half, min(lo, hi), max(lo, hi),
-                      xtol=1e-10)
+        root = closed_form.bisect(lambda k: f(k) - half, min(lo, hi),
+                                  max(lo, hi), xtol=1e-10)
         widths.append(abs(root - peak.k_peak))
     return 0.5 * (widths[0] + widths[1])
 
@@ -297,8 +350,7 @@ def _count_pair_maxima(zeta, zeta_m, pair_index, grid_per_kappa, prominence):
     system = CavitySystem.with_middle(zeta, zeta_m)
     ks = _grid_for(system, lo, hi, grid_per_kappa)
     ts = transmission(system, ks)
-    idx, _ = _grid_maxima(ts, prominence=prominence)
-    return len(idx)
+    return len(_grid_maxima(ts, prominence))
 
 
 def find_merge_point(zeta, zeta_m_range: Tuple, pair_index=1, rel_tol=1e-3,

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import coalesce
+from coalesce import cli
 from coalesce.cli import load_config, main
 from coalesce.cli import ConfigError
 
@@ -254,3 +260,56 @@ class TestFiguresSubcommand:
         assert payload["params"]["zeta_m_merge"] == pytest.approx(
             -200.998, rel=0.05)
         assert set(payload["data"]) >= {"zeta_m", "n_peaks", "T_peak_1"}
+
+
+def per_cell_rows(columns):
+    """CSV data rows by the one-call-per-cell rule the renderer replaces."""
+    length = max((len(v) for v in columns.values()), default=0)
+    return [",".join(cli._fmt(v[i]) if i < len(v) else ""
+                     for v in columns.values())
+            for i in range(length)]
+
+
+class TestCsvRenderer:
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300,
+               -1.23456789012345e300, 1.0 / 3.0]
+
+    @pytest.mark.parametrize("columns", [
+        {"floats": SPECIAL},
+        {"floats": SPECIAL, "short": [1.5, -0.0], "empty": []},
+        {"mixed": [None, 3, "peak", 2.5, True, math.nan, -0.0, None],
+         "numpy": [np.float64(-0.0), np.float64(math.inf), np.float64(0.1)],
+         "ints": [0, -7, 12]},
+        {"none_only": [None, None]},
+        {"one": [-0.0]},
+        {},
+    ])
+    def test_matches_per_cell_rule(self, columns):
+        text = cli._render_csv({"a": 1}, columns, {"m": [0.5, None]})
+        lines = text.split("\n")
+        assert text.endswith("\n")
+        header = lines.index(",".join(columns))
+        assert lines[header + 1:-1] == per_cell_rows(columns)
+
+    def test_rows_across_blocks(self):
+        # a long column spanning several blocks next to a short one
+        n = 2 * cli._CSV_BLOCK + 3
+        columns = {"k": [i * 0.1 - 7.0 for i in range(n)],
+                   "label": ["x"] * (cli._CSV_BLOCK + 1) + [None, 4]}
+        text = cli._render_csv({}, columns, None)
+        assert text == "\n".join(["k,label"] + per_cell_rows(columns)) + "\n"
+
+
+class TestRuntimeWithoutScipy:
+    def test_cli_imports_and_runs_with_scipy_blocked(self):
+        src = os.path.dirname(os.path.dirname(coalesce.__file__))
+        code = ("import sys\n"
+                "sys.modules['scipy'] = None\n"
+                "import coalesce.cli\n"
+                "sys.exit(coalesce.cli.main(['splitting', '--zeta-m=-20']))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "scipy" not in proc.stderr
+        assert proc.stdout.startswith("#")

@@ -29,6 +29,9 @@ from coalesce import (
     report,
     resonant_transmission,
 )
+from coalesce import closed_form
+from coalesce.closed_form import _lossless_condition
+from coalesce.spectrum import find_peaks, peak_halfwidth
 
 TWO_PI = 2.0 * math.pi
 
@@ -281,3 +284,125 @@ class TestOracleAgreementWithNumerics:
         assert len(peaks) == 1
         assert peaks[0].k_peak == pytest.approx(bare_resonance(1, -10.0),
                                                 abs=1e-6)
+
+
+def scipy_bisect():
+    optimize = pytest.importorskip("scipy.optimize")
+    return optimize.bisect
+
+
+class TestBisect:
+    def test_same_sign_not_bracketed(self):
+        with pytest.raises(NotBracketedError):
+            closed_form.bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+
+    def test_step_cap_not_bracketed(self):
+        # the stopping width xtol + 4 eps |x| is out of reach in 100 steps
+        with pytest.raises(NotBracketedError):
+            closed_form.bisect(lambda x: x - 1e-300, 0.0, 1.0, 1e-310)
+        # 2**-101 < 5e-31 < 2**-100: it would stop on step 101
+        with pytest.raises(NotBracketedError):
+            closed_form.bisect(lambda x: x - 1e-40, 0.0, 1.0, 5e-31)
+
+    @pytest.mark.parametrize("xtol", [0.0, -1e-12, float("nan")])
+    def test_bad_xtol_refused(self, xtol):
+        # a root at 0 would otherwise run out of steps and blame the bracket
+        with pytest.raises(InvalidParameterError):
+            closed_form.bisect(lambda x: x, -1.0, 2.0, xtol)
+
+    def test_endpoint_roots(self):
+        assert closed_form.bisect(lambda x: x - 1.0, 1.0, 2.0, 1e-12) == 1.0
+        assert closed_form.bisect(lambda x: x - 2.0, 1.0, 2.0, 1e-12) == 2.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(root=st.floats(-10.0, 10.0), below=st.floats(1e-6, 10.0),
+           above=st.floats(1e-6, 10.0),
+           xtol=st.sampled_from([1e-300, 1e-12, 1e-3]),
+           scale=st.sampled_from([1.0, -1.0, 1e-170]))
+    def test_same_root_as_scipy_on_lines(self, root, below, above, xtol,
+                                         scale):
+        # xtol = 1e-300 leaves the stop to the 4 eps |x| term; the 1e-170
+        # slope makes f(lo) * f(x) underflow to 0 on either side
+        def f(x):
+            return scale * (x - root)
+
+        lo, hi = root - below, root + above
+        try:
+            want = scipy_bisect()(f, lo, hi, xtol=xtol)
+        except RuntimeError:   # out of steps: a root near 0, xtol 1e-300
+            with pytest.raises(NotBracketedError):
+                closed_form.bisect(f, lo, hi, xtol)
+        else:
+            assert closed_form.bisect(f, lo, hi, xtol) == want
+
+    def test_stop_rule_edges_as_scipy(self):
+        reference = scipy_bisect()
+        cases = (
+            # dm = 1 meets xtol exactly at xm = 0: the stop needs dm < xtol
+            (lambda x: x - 0.3, -1.0, 1.0, 1.0),
+            # dm = 2**-100 < 1e-30 < 2**-99: converges on the 100th step
+            (lambda x: x - 1e-40, 0.0, 1.0, 1e-30),
+        )
+        for f, lo, hi, xtol in cases:
+            assert (closed_form.bisect(f, lo, hi, xtol)
+                    == reference(f, lo, hi, xtol=xtol))
+
+    def test_endpoint_signs_as_scipy(self):
+        reference = scipy_bisect()
+        for flo, fhi in ((0.0, 1.0), (1.0, 0.0), (-0.0, -1.0), (0.0, 0.0),
+                         (1e-200, -1e-200), (1e-200, 1e-200), (2.0, 3.0)):
+            def f(x, flo=flo, fhi=fhi):
+                return flo if x == 0.0 else fhi if x == 1.0 else x - 0.3
+
+            try:
+                want = reference(f, 0.0, 1.0, xtol=1e-12)
+            except ValueError:
+                with pytest.raises(NotBracketedError):
+                    closed_form.bisect(f, 0.0, 1.0, 1e-12)
+            else:
+                assert closed_form.bisect(f, 0.0, 1.0, 1e-12) == want
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(zeta_m=st.floats(-500.0, -0.01),
+           width=st.floats(1e-3, 0.4))
+    def test_same_root_as_scipy_on_lossless_brackets(self, zeta_m, width):
+        # x = 0: cot(k/2) = zeta_m < 0 has one root in (2 pi - split - width,
+        # 2 pi), with the pole at 2 pi kept out of the bracket
+        split = mode_splitting(zeta_m)
+        lo, hi = TWO_PI - split - width, TWO_PI - 1e-9
+        f = _lossless_condition(zeta_m, 0.0)
+        assert (closed_form.bisect(f, lo, hi, xtol=1e-12)
+                == scipy_bisect()(f, lo, hi, xtol=1e-12))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(zeta_m=st.floats(-400.0, -1.0), x=st.floats(1e-3, 0.2),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_same_root_as_scipy_in_lossless_pair(self, zeta_m, x, sign):
+        def run():
+            try:
+                lossless_pair(zeta_m, sign * x)
+            except NotBracketedError:
+                pass   # the roots found before giving up are still compared
+
+        self.assert_every_call_matches_scipy(run)
+
+    def test_same_root_as_scipy_in_peak_halfwidth(self):
+        for zeta, zm in ((-10.0, -50.0), (-10.0, coalescence_threshold(-10.0)),
+                         (-40.0, -700.0)):
+            system = CavitySystem.with_middle(zeta, zm)
+            peak = find_peaks(system, 5.9, 6.4)[-1]
+            self.assert_every_call_matches_scipy(
+                lambda: peak_halfwidth(system, peak))
+
+    def assert_every_call_matches_scipy(self, run):
+        reference, ours, pairs = scipy_bisect(), closed_form.bisect, []
+
+        def both(f, lo, hi, xtol):
+            root = ours(f, lo, hi, xtol)
+            pairs.append((root, reference(f, lo, hi, xtol=xtol)))
+            return root
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(closed_form, "bisect", both)
+            run()
+        assert pairs and all(a == b for a, b in pairs)

@@ -223,6 +223,16 @@ class TestEffectivePolarizability:
         with pytest.raises(InvalidParameterError):
             effective_polarizability([], 2.0)
 
+    def test_single_element_broadcasts_over_array_k(self):
+        ks = np.array([1.0, 2.0, 3.0])
+        vals = effective_polarizability([(0.5, -2.0)], ks)
+        assert vals.shape == (3,) and np.all(vals == 2.0)
+        mats = stack_matrix([(0.5, -2.0)], ks)
+        assert mats.shape == (3, 2, 2)
+        assert np.all(mats == scatter_matrix(-2.0))
+        assert stack_matrix([(0.5, -2.0)], np.full((2, 4), 1.5)).shape == (
+            2, 4, 2, 2)
+
     def test_two_elements_beat_twice_one(self):
         # optimal pair reaches 2 |z| sqrt(1+z^2) >= 2 |z| for |z| >= 1
         for z in (-1.0, -2.0):
@@ -341,7 +351,11 @@ class TestKernelAgainstPlainProduct:
         hops = [(p - q, z) for (q, _), (p, z) in zip(elements, elements[1:])]
         err = 1e-12 * product_condition(*(z for _, z in elements))
         for k in (ks[0], np.array(ks)):
-            plain = plain_product(chain(elements[0][1], hops, k))
+            # a one-element chain has no propagation factor to carry k's
+            # shape, but a stack matrix has k's shape in any case
+            plain = np.broadcast_to(
+                plain_product(chain(elements[0][1], hops, k)),
+                np.shape(k) + (2, 2))
             assert_matches_plain(stack_matrix(elements, k), plain, err)
             zeta_eff = effective_polarizability(elements, k)
             assert np.all(np.abs(zeta_eff - np.abs(plain[..., 1, 0])) <= err)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalesce import (
     CavitySystem,
@@ -24,6 +26,7 @@ from coalesce import (
     tunneling_rate,
     pair_center,
 )
+from coalesce.spectrum import _grid_maxima
 
 TWO_PI = 2.0 * math.pi
 SYS_EMPTY = CavitySystem.empty(-10.0)
@@ -217,3 +220,58 @@ class TestFindMergePoint:
             find_merge_point(-10.0, (-120.0, -170.0))
         with pytest.raises(InvalidParameterError):
             find_merge_point(-10.0, (150.0, -250.0))
+
+
+def scipy_maxima(x, prominence):
+    signal = pytest.importorskip("scipy.signal")
+    return signal.find_peaks(x, prominence=prominence)[0]
+
+
+# integer levels give plateaus, ties and end plateaus; an optional ripple
+# of ~1e-16 on top imitates round-off on a flat top
+levels = st.lists(st.integers(0, 4), max_size=40).map(
+    lambda v: np.array(v, dtype=float))
+rippled = st.tuples(
+    st.lists(st.integers(0, 3), min_size=1, max_size=40),
+    st.lists(st.sampled_from([-1e-16, 0.0, 1e-16]), min_size=40,
+             max_size=40),
+).map(lambda p: 1.0 + np.array(p[0], dtype=float)
+      + np.array(p[1][:len(p[0])]))
+
+
+class TestGridMaxima:
+    def test_plateaus_and_ends(self):
+        x = np.array([2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 3.0, 0.0, 5.0, 5.0])
+        # the end plateaus are no maxima; the flat top reports its midpoint
+        assert _grid_maxima(x, 0.0).tolist() == [4]
+
+    def test_prominence_walks_to_the_higher_neighbour(self):
+        x = np.array([0.0, 5.0, 4.0, 4.5, 1.0, 6.0, 0.0])
+        # 4.5 is based on the 4.0 saddle toward 5, so it stands 0.5 high
+        assert _grid_maxima(x, 0.5).tolist() == [1, 3, 5]
+        assert _grid_maxima(x, 0.6).tolist() == [1, 5]
+
+    def test_prominence_walks_past_equal_tops(self):
+        # each 3 walks through the other to the 0 beyond, so stands 3 high
+        x = np.array([0.0, 3.0, 1.0, 3.0, 0.0])
+        assert _grid_maxima(x, 2.5).tolist() == [1, 3]
+
+    def test_short_and_flat_inputs(self):
+        for x in ([], [1.0], [1.0, 2.0], [3.0, 3.0, 3.0]):
+            assert _grid_maxima(np.array(x), 0.0).size == 0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(x=st.one_of(levels, rippled),
+           prominence=st.sampled_from([0.0, 1e-10, 1e-9, 1.0, 2.0, 3.0]))
+    def test_same_indices_as_scipy(self, x, prominence):
+        want = scipy_maxima(x, prominence)
+        got = _grid_maxima(x, prominence)
+        assert got.tolist() == want.tolist()
+
+    def test_same_indices_as_scipy_on_spectra(self):
+        for zm in (-50.0, -196.6, coalescence_threshold(-10.0), -260.0):
+            system = CavitySystem.with_middle(-10.0, zm)
+            _, ts = scan_transmission(system, 2.0, 13.0, 200001)
+            for prominence in (0.0, 1e-9):
+                assert (_grid_maxima(ts, prominence).tolist()
+                        == scipy_maxima(ts, prominence).tolist())
