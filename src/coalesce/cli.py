@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 argument/config parse error, 3 domain error
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -253,6 +252,112 @@ def _fmt(value):
 
 
 _CSV_BLOCK = 1 << 16
+# the longest "%.11e" of a float: -d.ddddddddddde-ddd
+_FLOAT_WIDTH = 19
+# 10**k is a float64 without rounding for k <= 22
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_LOG10_2 = math.log10(2.0)
+
+
+def _scaled(a, shift):
+    """a * 10**shift with one rounding, for |shift| <= 22.
+
+    One of the two table entries is 1, so the product or the quotient
+    is exact.  Larger |shift| reads a clipped (wrong) power.
+    """
+    return (a * _POW10[np.clip(shift, 0, 22)]
+            / _POW10[np.clip(-shift, 0, 22)])
+
+
+def _float_cells(x):
+    """The bytes of "%.11e" % v for each v of a float64 array.
+
+    Returns a (len(x), 19) uint8 matrix and the mask of the bytes each
+    cell uses.  With e = floor(log10|v|), y = |v| * 10**(11 - e) lies in
+    [1e11, 1e12) and rint(y) holds the 12 digits (carried to the next
+    exponent at 1e12).  The power is exact for |11 - e| <= 22, so y takes
+    one rounding; rounding is monotone and every half-integer below 1e12
+    is a float, so rint(y) is the correctly rounded digit string unless
+    y itself is a half-integer, where the exact value may lie on either
+    side of it.  Those cells, zeros, non-finite values and exponents
+    beyond the table are formatted by _fmt instead, so every cell is
+    exact by construction.
+    """
+    a = np.abs(x)
+    fast = (a > 0.0) & (a < np.inf)
+    a[~fast] = 1.0                    # keeps the arithmetic below finite
+    # floor(log10 2**(p - 1)) from the binary exponent p is e or e - 1
+    e = np.floor((np.frexp(a)[1] - 1) * _LOG10_2).astype(np.int64)
+    e += _scaled(a, 11 - e) >= 1e12
+    y = _scaled(a, 11 - e)
+    n = np.rint(y)
+    fast &= (np.abs(11 - e) <= 22) & (np.abs(y - n) != 0.5)
+    n[~fast] = 1e11
+    carry = n == 1e12
+    n[carry] = 1e11
+    e += carry
+    digits = np.empty((12, len(x)), np.uint8)
+    for place in range(11, -1, -1):
+        q = np.floor(n / 10.0)        # exact: n < 2**53
+        digits[place] = n - 10.0 * q + ord("0")
+        n = q
+    cells = np.empty((len(x), _FLOAT_WIDTH), np.uint8)
+    cells[:, 0] = ord("-")
+    cells[:, 1] = digits[0]
+    cells[:, 2] = ord(".")
+    cells[:, 3:14] = digits[1:].T
+    cells[:, 14] = ord("e")
+    cells[:, 15] = np.where(e < 0, ord("-"), ord("+"))
+    e = np.abs(e)                     # two digits: |e| <= 34 if fast
+    cells[:, 16] = e // 10 + ord("0")
+    cells[:, 17] = e % 10 + ord("0")
+    keep = np.ones(cells.shape, bool)
+    keep[:, 0] = x < 0.0
+    keep[:, 18] = False
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text, used = _text_cells(map(_fmt, x[slow].tolist()))
+        cells[slow, :text.shape[1]] = text
+        keep[slow] = False
+        keep[slow, :used.shape[1]] = used
+    return cells, keep
+
+
+def _text_cells(texts):
+    """A uint8 matrix of encoded cell strings and the mask of its bytes."""
+    raw = [t.encode() for t in texts]
+    width = max(map(len, raw), default=0)
+    cells = np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw),
+                          np.uint8).reshape(len(raw), width)
+    keep = np.arange(width) < np.array([len(r) for r in raw],
+                                       dtype=np.intp).reshape(-1, 1)
+    return cells, keep
+
+
+def _all_floats(values):
+    if isinstance(values, np.ndarray):
+        return values.dtype == np.float64
+    return all(isinstance(v, float) for v in values)
+
+
+def _csv_rows(columns, rows):
+    """Bytes of `rows` CSV rows from each column's (cells, keep) pair.
+
+    A short column's missing cells are empty.
+    """
+    width = sum(cells.shape[1] + 1 for cells, _ in columns)
+    block = np.empty((rows, width), np.uint8)
+    used = np.zeros((rows, width), bool)
+    at = 0
+    for cells, keep in columns:
+        length, cell_width = cells.shape
+        block[:length, at:at + cell_width] = cells
+        used[:length, at:at + cell_width] = keep
+        at += cell_width + 1
+        block[:, at - 1] = ord(",")
+        used[:, at - 1] = True
+    block[:, -1] = ord("\n")
+    return block[used].tobytes()
 
 
 def _jsonable(value):
@@ -262,27 +367,34 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
     return value
 
 
 def _render_csv(params, columns, annotations):
+    """Yield the CSV document as bytes: metadata and header, then rows.
+
+    Rows go out in blocks, so only one block of cells is alive.  Float
+    columns (all values float) are formatted by _float_cells, the others
+    cell by cell with _fmt.
+    """
     lines = [f"# {key} = {json.dumps(_jsonable(val))}"
              for key, val in params.items()]
     for name, values in (annotations or {}).items():
         lines.append(f"# annotation {name} = "
                      f"[{', '.join(_fmt(v) for v in values)}]")
     lines.append(",".join(columns))
-    # "%.11e" is _fmt's rule for a float, without a call per cell
-    formats = ["%.11e".__mod__ if all(isinstance(v, float) for v in values)
-               else _fmt for values in columns.values()]
+    yield ("\n".join(lines) + "\n").encode()
+    floats = [_all_floats(values) for values in columns.values()]
     length = max(map(len, columns.values()), default=0)
-    # rows go out in blocks, so only one block of cell strings is alive
     for start in range(0, length, _CSV_BLOCK):
-        cells = [list(map(fmt, values[start:start + _CSV_BLOCK]))
-                 for fmt, values in zip(formats, columns.values())]
-        lines.append("\n".join(map(
-            ",".join, itertools.zip_longest(*cells, fillvalue=""))))
-    return "\n".join(lines) + "\n"
+        rows = min(_CSV_BLOCK, length - start)
+        yield _csv_rows(
+            [_float_cells(np.asarray(values[start:start + rows], np.float64))
+             if is_float else
+             _text_cells(map(_fmt, values[start:start + rows]))
+             for values, is_float in zip(columns.values(), floats)], rows)
 
 
 def _render_json(params, data):
@@ -290,15 +402,17 @@ def _render_json(params, data):
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _write(path, text):
+def _write(path, chunks):
+    """Write byte chunks to stdout, or atomically to the file `path`."""
     if path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coalesce-")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -311,13 +425,12 @@ def _emit(values, params, columns=None, record=None, annotations=None):
         data = dict(columns) if columns is not None else dict(record)
         if annotations:
             data["annotations"] = dict(annotations)
-        text = _render_json(params, data)
-    elif columns is not None:
-        text = _render_csv(params, columns, annotations)
+        chunks = [_render_json(params, data).encode()]
     else:
-        text = _render_csv(params, {k: [v] for k, v in record.items()},
-                           annotations)
-    _write(values["output"], text)
+        if columns is None:
+            columns = {k: [v] for k, v in record.items()}
+        chunks = _render_csv(params, columns, annotations)
+    _write(values["output"], chunks)
 
 
 def _params_echo(name, values, skip=("output", "format")):
@@ -341,7 +454,7 @@ def _cmd_spectrum(values):
     ks, ts = spectrum.scan_transmission(_system_from(values),
                                         values["kmin"], values["kmax"],
                                         values["points"])
-    return {"k": ks.tolist(), "T": ts.tolist()}, None, None
+    return {"k": ks, "T": ts}, None, None
 
 
 def _cmd_peaks(values):
@@ -398,15 +511,8 @@ def _cmd_branches(values):
     if values["kmin"] is not None and values["kmax"] is not None:
         window = (values["kmin"], values["kmax"])
     else:
-        center = closed_form.pair_center(values["zeta"], values["zeta_m"],
-                                         values["pair_index"])
-        kappa = closed_form.bare_linewidth(values["zeta"])
-        delta = 0.5 * closed_form.mode_splitting(values["zeta_m"])
-        g_m = two_mode.tunneling_rate(values["zeta_m"], center)
-        xmax = max(abs(values["xmin"]), abs(values["xmax"]))
-        half = max(8 * kappa,
-                   1.3 * math.hypot(delta, g_m * xmax) + 4 * kappa)
-        window = (center - half, center + half)
+        window = spectrum.branch_window(values["zeta"], values["zeta_m"], xs,
+                                        values["pair_index"])
     branch = spectrum.track_branches(values["zeta"], values["zeta_m"], xs,
                                      window)
     columns = {
@@ -446,7 +552,7 @@ def _cmd_sensitivity(values):
             mass=values["mass"], mech_freq=values["mech_freq"],
             temperature=values["temperature"],
             wavelength=values["wavelength"], zeta_m=values["zeta_m"])
-        phys = two_mode.physical_enhancement(membrane, values["zeta"])
+        phys = two_mode.physical_enhancement(membrane)
         record.update({
             "x_zpf": phys.x_zpf,
             "x_rms": phys.x_rms,

@@ -235,15 +235,11 @@ def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=FIG3_ZETA_M,
     if x_grid is None:
         x_grid = np.linspace(-0.003, 0.003, 201)
     xs = [float(x) for x in x_grid]
-    center = closed_form.pair_center(zeta, zeta_m, pair_index)
     if k_window is None:
-        kappa = closed_form.bare_linewidth(zeta)
-        delta = 0.5 * closed_form.mode_splitting(zeta_m)
-        g_m = two_mode.tunneling_rate(zeta_m, center)
-        xmax = max(abs(x) for x in xs)
-        half = max(8.0 * kappa,
-                   1.3 * math.sqrt(delta ** 2 + (g_m * xmax) ** 2) + 4 * kappa)
-        k_window = (center - half, center + half)
+        k_window = spectrum.branch_window(zeta, zeta_m, xs, pair_index)
+    else:
+        # the pair must exist, as for the default window
+        closed_form.pair_center(zeta, zeta_m, pair_index)
     branch = spectrum.track_branches(zeta, zeta_m, xs, k_window)
     if len(branch) != len(xs):
         raise InvalidParameterError(
@@ -281,7 +277,7 @@ def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
     zms = [float(z) for z in zeta_m_grid]
 
     def row(zm):
-        lo, hi = spectrum._pair_window(zeta, zm, pair_index)
+        lo, hi = spectrum.pair_window(zeta, zm, pair_index)
         system = CavitySystem.with_middle(zeta, zm)
         peaks = spectrum.find_peaks(system, lo, hi)
         peaks = sorted(peaks, key=lambda p: p.k_peak)[:2]

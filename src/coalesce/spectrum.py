@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import closed_form
+from . import closed_form, two_mode
 from .core_scatter import CavitySystem, transmission
 from .errors import (
     EdgeTruncationError,
@@ -39,6 +39,8 @@ __all__ = [
     "peak_halfwidth",
     "track_branches",
     "find_merge_point",
+    "pair_window",
+    "branch_window",
 ]
 
 _MAX_GRID_POINTS = 5_000_000
@@ -336,7 +338,7 @@ def track_branches(zeta, zeta_m, x_values: Sequence, k_window: Tuple,
     return points
 
 
-def _pair_window(zeta, zeta_m, pair_index):
+def pair_window(zeta, zeta_m, pair_index):
     """Window isolating the coalescing pair near 2*pair_index*pi."""
     kappa = closed_form.bare_linewidth(zeta)
     delta = 0.5 * closed_form.mode_splitting(zeta_m)
@@ -345,8 +347,25 @@ def _pair_window(zeta, zeta_m, pair_index):
     return center - half, center + half
 
 
+def branch_window(zeta, zeta_m, x_values, pair_index=1):
+    """Window holding both pulled branches of the pair over an x grid.
+
+    Centered on the pair center, it spans 1.3 times the largest two-mode
+    half-splitting sqrt(delta**2 + (g_m x)**2) on the grid plus 4 kappa,
+    and at least 8 kappa either side.
+    """
+    center = closed_form.pair_center(zeta, zeta_m, pair_index)
+    kappa = closed_form.bare_linewidth(zeta)
+    delta = 0.5 * closed_form.mode_splitting(zeta_m)
+    g_m = two_mode.tunneling_rate(zeta_m, center)
+    xmax = max((abs(float(x)) for x in x_values), default=0.0)
+    half = max(8.0 * kappa,
+               1.3 * math.sqrt(delta ** 2 + (g_m * xmax) ** 2) + 4 * kappa)
+    return center - half, center + half
+
+
 def _count_pair_maxima(zeta, zeta_m, pair_index, grid_per_kappa, prominence):
-    lo, hi = _pair_window(zeta, zeta_m, pair_index)
+    lo, hi = pair_window(zeta, zeta_m, pair_index)
     system = CavitySystem.with_middle(zeta, zeta_m)
     ks = _grid_for(system, lo, hi, grid_per_kappa)
     ts = transmission(system, ks)

@@ -250,18 +250,15 @@ class PhysicalEnhancement:
     attainable_enhancement: float
 
 
-def physical_enhancement(membrane: MembranePhysical, zeta):
+def physical_enhancement(membrane: MembranePhysical):
     """Zero-point/thermal displacement scales and the Lamb-Dicke ceiling.
 
     x_zpf = sqrt(hbar / (2 m omega_mech)); the thermal occupation uses
     the exact Bose factor nbar = 1/(exp(hbar omega/kB T) - 1) (0 at
     T = 0); x_rms = x_zpf sqrt(2 nbar + 1); eta = 2 pi x_rms / lambda;
     and the enhancement ceiling is 2/(eta |zeta_m|).  The conservatively
-    quoted attainable enhancement is one tenth of that ceiling.  ``zeta``
-    is accepted for signature symmetry with the dimensionless report and
-    only validated.
+    quoted attainable enhancement is one tenth of that ceiling.
     """
-    _finite("zeta", zeta)
     x_zpf = math.sqrt(HBAR / (2.0 * membrane.mass * membrane.mech_freq))
     if membrane.temperature == 0.0:
         nbar = 0.0

@@ -172,8 +172,8 @@ def test_criterion_08_enhancement_physics():
                                        temperature=temperature,
                                        wavelength=1e-6, zeta_m=-10.0)
 
-        cold = co.physical_enhancement(membrane(0.0), ZETA)
-        warm = co.physical_enhancement(membrane(4.0), ZETA)
+        cold = co.physical_enhancement(membrane(0.0))
+        warm = co.physical_enhancement(membrane(4.0))
         assert cold.x_zpf == pytest.approx(9.2e-16, rel=0.01)
         ratio = cold.lamb_dicke_cap / warm.lamb_dicke_cap
         assert ratio == pytest.approx(math.sqrt(2.0 * warm.nbar + 1.0),

@@ -4,11 +4,15 @@ import json
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coalesce
 from coalesce import cli
@@ -270,9 +274,61 @@ def per_cell_rows(columns):
             for i in range(length)]
 
 
+def render_csv(params, columns, annotations):
+    """The CSV document the renderer streams, as one string."""
+    return b"".join(cli._render_csv(params, columns, annotations)).decode()
+
+
+def kernel_strings(values):
+    cells, keep = cli._float_cells(np.array(values, dtype=np.float64))
+    return [bytes(row[used]).decode() for row, used in zip(cells, keep)]
+
+
+def assert_kernel_matches(x):
+    """_float_cells gives the bytes of "%.11e" for every value of x."""
+    got = cli._csv_rows([cli._float_cells(x)], len(x))
+    want = "".join("%.11e\n" % v for v in x.tolist()).encode()
+    if got != want:
+        bad = next(v for v, g, w in zip(x.tolist(), got.split(b"\n"),
+                                        want.split(b"\n")) if g != w)
+        pytest.fail(f"{bad!r}: kernel {kernel_strings([bad])[0]!r}, "
+                    f"%.11e {'%.11e' % bad!r}")
+
+
+def signed(values):
+    return st.builds(lambda v, negative: -v if negative else v, values,
+                     st.booleans())
+
+
+bit_patterns = st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+# n.5 * 10**j: the 12-digit ties, exact in binary only for j = 0
+decimal_ties = st.builds(lambda n, j: float(f"{n}.5e{j}"),
+                         st.integers(10 ** 11, 10 ** 12 - 1),
+                         st.one_of(st.just(0), st.integers(-40, 40),
+                                   st.integers(-334, 296)))
+# 9.99999999999[5-9]...e k rounds up to the next decade
+decade_edges = st.builds(lambda first, rest, k: float(
+    f"9.99999999999{first}{rest:04d}e{k}"),
+    st.integers(5, 9), st.integers(0, 9999), st.integers(-320, 300))
+powers = st.one_of(
+    st.integers(-323, 308).map(lambda k: float(f"1e{k}")),
+    st.integers(-1074, 1023).map(lambda q: math.ldexp(1.0, q)))
+cell_values = st.one_of(
+    st.floats(), bit_patterns, signed(decimal_ties), signed(decade_edges),
+    signed(powers), signed(powers.map(lambda v: math.nextafter(v, 0.0))),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]))
+
+
 class TestCsvRenderer:
     SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-300,
                -1.23456789012345e300, 1.0 / 3.0]
+    # a binary and two decimal 12-digit ties, round-ups to the next
+    # decade, scaling past the exact powers of ten, 3-digit exponents
+    EDGES = [100000000000.5, 1.000000000005, -9.999999999995e5,
+             9.9999999999996e-7, 9.99999999999996e22, 1e23, -1.5e25,
+             3e-24, 1e-23, 1e100, -2.5e-100, 1.7976931348623157e308,
+             2.2250738585072014e-308]
 
     @pytest.mark.parametrize("columns", [
         {"floats": SPECIAL},
@@ -283,21 +339,66 @@ class TestCsvRenderer:
         {"none_only": [None, None]},
         {"one": [-0.0]},
         {},
+        {"edges": EDGES, "array": np.array(SPECIAL + EDGES)},
+        {"k": np.linspace(5.8, 6.4, 7), "empty": np.array([]),
+         "label": ["a", None, "b"]},
     ])
     def test_matches_per_cell_rule(self, columns):
-        text = cli._render_csv({"a": 1}, columns, {"m": [0.5, None]})
+        text = render_csv({"a": 1}, columns, {"m": [0.5, None]})
         lines = text.split("\n")
         assert text.endswith("\n")
         header = lines.index(",".join(columns))
         assert lines[header + 1:-1] == per_cell_rows(columns)
 
     def test_rows_across_blocks(self):
-        # a long column spanning several blocks next to a short one
+        # a long column spanning several blocks next to a short one, and
+        # fallback cells on both sides of a block border
         n = 2 * cli._CSV_BLOCK + 3
+        special = np.array([i * 1e-3 - 7.0 for i in range(n)])
+        special[cli._CSV_BLOCK - 1:cli._CSV_BLOCK + 1] = [math.nan, -0.0]
         columns = {"k": [i * 0.1 - 7.0 for i in range(n)],
-                   "label": ["x"] * (cli._CSV_BLOCK + 1) + [None, 4]}
-        text = cli._render_csv({}, columns, None)
-        assert text == "\n".join(["k,label"] + per_cell_rows(columns)) + "\n"
+                   "label": ["x"] * (cli._CSV_BLOCK + 1) + [None, 4],
+                   "T": special}
+        lines = render_csv({}, columns, None).split("\n")
+        assert lines == ["k,label,T"] + per_cell_rows(columns) + [""]
+
+    @given(st.lists(cell_values, max_size=40))
+    @settings(derandomize=True, max_examples=600)
+    def test_kernel_matches_percent_e(self, values):
+        assert kernel_strings(values) == ["%.11e" % v for v in values]
+
+    @given(st.lists(cell_values, max_size=30),
+           st.lists(st.one_of(cell_values, st.none(), st.integers()),
+                    max_size=30),
+           st.integers(1, 8))
+    @settings(derandomize=True, max_examples=200)
+    def test_small_blocks_match_per_cell_rule(self, floats, mixed, block):
+        columns = {"floats": np.array(floats, dtype=np.float64),
+                   "mixed": mixed}
+        with mock.patch.object(cli, "_CSV_BLOCK", block):
+            text = render_csv({}, columns, None)
+        assert text == "\n".join(["floats,mixed"]
+                                 + per_cell_rows(columns)) + "\n"
+
+    def test_million_random_bit_patterns(self):
+        rng = np.random.default_rng(1304)
+        n = 500_000
+        anywhere = rng.integers(0, 2 ** 64, n, dtype=np.uint64)
+        # exponents of about 1e-12 to 1e34, where the kernel formats
+        fast = ((rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+                | (rng.integers(1023 - 40, 1023 + 114, n, dtype=np.uint64)
+                   << np.uint64(52))
+                | rng.integers(0, 2 ** 52, n, dtype=np.uint64))
+        for bits in (anywhere, fast):
+            assert_kernel_matches(bits.view(np.float64))
+
+    def test_random_decimal_ties(self):
+        # n.5e j for 1000 random n at each scale j, on both sides of the
+        # exact powers of ten (|11 - e| <= 22 holds for -33 <= j <= 11)
+        rng = np.random.default_rng(1715)
+        assert_kernel_matches(np.array(
+            [float(f"{n}.5e{j}") for j in range(-40, 41)
+             for n in rng.integers(10 ** 11, 10 ** 12, 1000).tolist()]))
 
 
 class TestRuntimeWithoutScipy:

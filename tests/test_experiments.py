@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coalesce import (
+    AboveThresholdError,
     CavitySystem,
     PairIdentificationError,
     bare_linewidth,
@@ -150,6 +151,17 @@ class TestFig3:
             ks = np.array(fig3.columns[name])[edge]
             slope = np.polyfit(xs[edge], ks, 1)[0]
             assert slope == pytest.approx(g_m, rel=0.05)
+
+    def test_above_threshold_refused_with_explicit_window(self):
+        with pytest.raises(AboveThresholdError):
+            run_fig3_mode_pulling(zeta_m=1.5 * STAR, k_window=(6.1, 6.3))
+
+    def test_default_window_is_branch_window(self):
+        # the figure and the `branches` command share this window
+        grid = np.linspace(-0.003, 0.003, 201)
+        window = spectrum.branch_window(-10.0, -196.6, grid)
+        assert run_fig3_mode_pulling(x_grid=grid).params["k_window"] == [
+            window[0], window[1]]
 
     def test_regeneration_is_bit_identical(self):
         grid = np.linspace(-0.001, 0.001, 7)

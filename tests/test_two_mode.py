@@ -218,27 +218,27 @@ class TestPhysicalEnhancement:
                                 zeta_m=-10.0)
 
     def test_zero_point_scale(self):
-        rec = physical_enhancement(self.membrane(0.0), -10.0)
+        rec = physical_enhancement(self.membrane(0.0))
         # sqrt(hbar / (2 m omega)) = 9.1608e-16 m
         assert rec.x_zpf == pytest.approx(9.160794657696231e-16, rel=1e-12)
         assert rec.nbar == 0.0
         assert rec.x_rms == rec.x_zpf
 
     def test_thermal_occupation_at_4k(self):
-        rec = physical_enhancement(self.membrane(4.0), -10.0)
+        rec = physical_enhancement(self.membrane(4.0))
         assert rec.nbar == pytest.approx(833464.2654438829, rel=1e-9)
         assert rec.x_rms / rec.x_zpf == pytest.approx(1291.0962515969775,
                                                       rel=1e-9)
 
     def test_cap_ratio_is_thermal_amplitude_ratio(self):
-        cold = physical_enhancement(self.membrane(0.0), -10.0)
-        warm = physical_enhancement(self.membrane(4.0), -10.0)
+        cold = physical_enhancement(self.membrane(0.0))
+        warm = physical_enhancement(self.membrane(4.0))
         ratio = cold.lamb_dicke_cap / warm.lamb_dicke_cap
         assert ratio == pytest.approx(math.sqrt(2 * warm.nbar + 1), rel=1e-12)
         assert ratio == pytest.approx(1.29e3, rel=0.02)
 
     def test_attainable_enhancement_margin(self):
-        rec = physical_enhancement(self.membrane(0.0), -10.0)
+        rec = physical_enhancement(self.membrane(0.0))
         assert rec.attainable_enhancement == rec.lamb_dicke_cap / 10.0
 
     def test_invalid_membranes_rejected(self):
