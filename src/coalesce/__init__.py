@@ -56,15 +56,15 @@ from .experiments import (
     run_fig2_resonant_transmission,
     run_fig3_mode_pulling,
     run_threshold_sweep,
+    track_resonance,
 )
 from .spectrum import (
-    BranchPoint,
     ResonancePeak,
     find_merge_point,
     find_peaks,
     peak_halfwidth,
     scan_transmission,
-    track_branches,
+    track,
 )
 from .two_mode import (
     BOLTZMANN,

@@ -189,6 +189,15 @@ _OPTIONS = {
 }
 
 
+# the `figures` targets
+_FIGURES = {
+    "fig1": experiments.run_fig1_spectra,
+    "fig2": experiments.run_fig2_resonant_transmission,
+    "fig3": experiments.run_fig3_mode_pulling,
+    "threshold-sweep": experiments.run_threshold_sweep,
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="coalesce",
@@ -200,9 +209,7 @@ def _build_parser():
         sub = subs.add_parser(name)
         sub._negative_number_matcher = _NEGATIVE_NUMBER
         if name == "figures":
-            sub.add_argument("figure",
-                             choices=("fig1", "fig2", "fig3",
-                                      "threshold-sweep"))
+            sub.add_argument("figure", choices=tuple(_FIGURES))
         for dest, (typ, _default, help_text) in {**table, **_COMMON}.items():
             flags = ["--" + dest.replace("_", "-")]
             if dest == "output":
@@ -454,7 +461,7 @@ def _cmd_spectrum(values):
     ks, ts = spectrum.scan_transmission(_system_from(values),
                                         values["kmin"], values["kmax"],
                                         values["points"])
-    return {"k": ks, "T": ts}, None, None
+    return {"k": ks, "T": ts}, None
 
 
 def _cmd_peaks(values):
@@ -472,12 +479,12 @@ def _cmd_peaks(values):
     columns = {"k_peak": [p.k_peak for p in peaks],
                "T_peak": [p.T_peak for p in peaks],
                "hwhm": widths}
-    return columns, None, None
+    return columns, None
 
 
 def _cmd_splitting(values):
     two_delta = closed_form.mode_splitting(values["zeta_m"])
-    return None, {"two_delta": two_delta, "delta": 0.5 * two_delta}, None
+    return None, {"two_delta": two_delta, "delta": 0.5 * two_delta}
 
 
 def _cmd_threshold(values):
@@ -488,41 +495,49 @@ def _cmd_threshold(values):
         hi = values["zm_hi"] if values["zm_hi"] is not None else 1.25 * star
         record["zeta_m_merge"] = spectrum.find_merge_point(values["zeta"],
                                                            (lo, hi))
-    return None, record, None
+    return None, record
 
 
 def _cmd_sweep_x(values):
     xs = np.linspace(values["xmin"], values["xmax"], values["xpoints"])
-    tracked = experiments._track_full_grid(values["zeta"], values["zeta_m"],
-                                           xs, values["pair_index"])
+    tracked = experiments.track_resonance(values["zeta"], values["zeta_m"],
+                                          xs, values["pair_index"])
     columns = {
         "x": [float(x) for x in xs],
-        "k_res": [k for k, _ in tracked],
-        "T_num": [t for _, t in tracked],
+        "k_res": [p.k_peak for p in tracked],
+        "T_num": [p.T_peak for p in tracked],
         "T_formula": [closed_form.resonant_transmission(float(x),
-                                                        values["zeta_m"], k)
-                      for x, (k, _) in zip(xs, tracked)],
+                                                        values["zeta_m"],
+                                                        p.k_peak)
+                      for x, p in zip(xs, tracked)],
     }
-    return columns, None, None
+    return columns, None
 
 
 def _cmd_branches(values):
     xs = np.linspace(values["xmin"], values["xmax"], values["xpoints"])
-    if values["kmin"] is not None and values["kmax"] is not None:
-        window = (values["kmin"], values["kmax"])
-    else:
-        window = spectrum.branch_window(values["zeta"], values["zeta_m"], xs,
+    if (values["kmin"] is None) != (values["kmax"] is None):
+        raise InvalidParameterError(
+            "--kmin and --kmax must be given together (or neither, for "
+            "the automatic window)")
+    if values["kmin"] is None:
+        lo, hi = spectrum.branch_window(values["zeta"], values["zeta_m"], xs,
                                         values["pair_index"])
-    branch = spectrum.track_branches(values["zeta"], values["zeta_m"], xs,
-                                     window)
+    else:
+        lo, hi = values["kmin"], values["kmax"]
+    tracked = spectrum.track(values["zeta"], values["zeta_m"], xs,
+                             0.5 * (lo + hi), 0.5 * (hi - lo))
+    # a merged pair has one peak and no row
+    rows = [(float(x), pair) for x, pair in zip(xs, tracked)
+            if len(pair) == 2]
     columns = {
-        "x": [b.x for b in branch],
-        "k_lower": [b.k_lower for b in branch],
-        "k_upper": [b.k_upper for b in branch],
-        "T_lower": [b.T_lower for b in branch],
-        "T_upper": [b.T_upper for b in branch],
+        "x": [x for x, _ in rows],
+        "k_lower": [lower.k_peak for _, (lower, _) in rows],
+        "k_upper": [upper.k_peak for _, (_, upper) in rows],
+        "T_lower": [lower.T_peak for _, (lower, _) in rows],
+        "T_upper": [upper.T_peak for _, (_, upper) in rows],
     }
-    return columns, None, None
+    return columns, None
 
 
 def _cmd_sensitivity(values):
@@ -561,7 +576,7 @@ def _cmd_sensitivity(values):
             "physical_lamb_dicke_cap": phys.lamb_dicke_cap,
             "attainable_enhancement": phys.attainable_enhancement,
         })
-    return None, record, None
+    return None, record
 
 
 def _cmd_stack(values):
@@ -579,20 +594,7 @@ def _cmd_stack(values):
     if n >= 2:
         record["threshold_per_element"] = closed_form.multilayer_threshold(
             values["zeta"], n)
-    return None, record, None
-
-
-def _cmd_figures(values, figure):
-    if figure == "fig1":
-        dataset = experiments.run_fig1_spectra(zeta=values["zeta"])
-    elif figure == "fig2":
-        dataset = experiments.run_fig2_resonant_transmission(
-            zeta=values["zeta"])
-    elif figure == "fig3":
-        dataset = experiments.run_fig3_mode_pulling(zeta=values["zeta"])
-    else:
-        dataset = experiments.run_threshold_sweep(zeta=values["zeta"])
-    return dataset.columns, None, dataset
+    return None, record
 
 
 def _cmd_report(values):
@@ -613,7 +615,7 @@ def _cmd_report(values):
             record["enhancement"] = sens.enhancement
         except DivergentSensitivityError:
             pass  # exactly at threshold: closed forms fine, ratio diverges
-    return None, record, None
+    return None, record
 
 
 def main(argv=None) -> int:
@@ -628,11 +630,10 @@ def main(argv=None) -> int:
         params = _params_echo(args.subcommand, values)
         if args.subcommand == "figures":
             params["figure"] = args.figure
-            columns, record, dataset = _cmd_figures(values, args.figure)
-            if dataset is not None:
-                params.update(dataset.params)
-            _emit(values, params, columns=columns,
-                  annotations=dataset.annotations if dataset else None)
+            dataset = _FIGURES[args.figure](zeta=values["zeta"])
+            params.update(dataset.params)
+            _emit(values, params, columns=dataset.columns,
+                  annotations=dataset.annotations)
             return 0
         handler = {
             "spectrum": _cmd_spectrum,
@@ -645,7 +646,7 @@ def main(argv=None) -> int:
             "stack": _cmd_stack,
             "report": _cmd_report,
         }[args.subcommand]
-        columns, record, _ = handler(values)
+        columns, record = handler(values)
         _emit(values, params, columns=columns, record=record)
         return 0
     except ConfigError as exc:

@@ -4,19 +4,13 @@ Each pipeline returns a :class:`FigureDataset` holding equal-length
 numeric series (columns), short derived series such as resonance markers
 (annotations), and a full parameter echo sufficient to regenerate the
 dataset bit-identically.  Numeric curves always come with their
-closed-form overlay so the datasets embed their own oracles.
-
-Pipelines parallelize across independent traces with a thread pool sized
-by the COALESCE_THREADS environment variable (default: available cores);
-results are assembled in input order, so the output does not depend on
-the schedule.
+closed-form overlay so the datasets embed their own oracles.  The
+pipelines run serially, one trace after another.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
@@ -24,12 +18,11 @@ import numpy as np
 
 from . import __version__, closed_form, spectrum, two_mode
 from .core_scatter import CavitySystem
-from .errors import (EdgeTruncationError, InvalidParameterError,
-                     PairIdentificationError)
+from .errors import EdgeTruncationError, InvalidParameterError
 
 __all__ = [
     "FigureDataset",
-    "thread_count",
+    "track_resonance",
     "run_fig1_spectra",
     "run_fig2_resonant_transmission",
     "run_fig3_mode_pulling",
@@ -53,22 +46,12 @@ class FigureDataset:
 
 
 def thread_count():
-    """Parallelism hint: COALESCE_THREADS env var, default available cores."""
-    raw = os.environ.get("COALESCE_THREADS", "")
-    try:
-        n = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        n = os.cpu_count() or 1
-    return max(n, 1)
+    """Always 1: the pipelines run serially.
 
-
-def _ordered_map(fn, items):
-    items = list(items)
-    workers = min(thread_count(), len(items))
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    Kept only because the benchmark probe in ``perfbench/run.py`` still
+    records it.
+    """
+    return 1
 
 
 def _grid(values) -> Tuple[float, ...]:
@@ -92,7 +75,7 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
                                            int(n_points))
         return _grid(ts)
 
-    traces = _ordered_map(trace, zeta_m_list)
+    traces = [trace(zm) for zm in zeta_m_list]
     columns = {"k": _grid(ks)}
     annotations = {}
     n_max = int(math.ceil(k_max / (2.0 * math.pi))) + 1
@@ -115,45 +98,21 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
                          annotations=annotations)
 
 
-def _start_wavenumber(zeta, zeta_m, pair_index):
-    """Pair member closest to the bare even resonance: tracking seed."""
-    pair = closed_form.peak_positions(zeta, zeta_m, pair_index)
-    bare = closed_form.bare_resonance(2 * pair_index, zeta)
-    return min((pair.k_even, pair.k_odd), key=lambda k: abs(k - bare))
+def track_resonance(zeta, zeta_m, x_values: Sequence, pair_index=1):
+    """Follow the resonant peak of one pair across displacements.
 
-
-def track_resonance(zeta, zeta_m, x_values: Sequence, k_start,
-                    half_width=0.35, grid_per_kappa=25):
-    """Follow the single transmission peak nearest a moving center.
-
-    ``x_values`` is visited in order; the window recenters on the peak
-    found at the previous displacement.  Returns (k_peak, T_peak) per x.
-    """
-    center = float(k_start)
-    out = []
-    for x in x_values:
-        system = CavitySystem.with_middle(zeta, zeta_m, float(x))
-        peaks = spectrum.find_peaks(system, center - half_width,
-                                    center + half_width,
-                                    grid_per_kappa=grid_per_kappa)
-        if not peaks:
-            raise PairIdentificationError(
-                f"resonance tracking lost the peak at x = {x}")
-        best = min(peaks, key=lambda p: abs(p.k_peak - center))
-        out.append((best.k_peak, best.T_peak))
-        center = best.k_peak
-    return out
-
-
-def _track_full_grid(zeta, zeta_m, xs, pair_index):
-    """Track outward from x = 0 over a grid containing both signs.
-
+    The walk starts at the pair member closest to the bare even
+    resonance (closed form) and goes outward from x = 0: up through the
+    non-negative displacements, then down through the negative ones.
     Coarse grids are densified with intermediate waypoints so the peak
     never moves further than a fraction of the window between steps
-    (the branch slope is bounded by the tunneling rate).
+    (the branch slope is bounded by the tunneling rate).  Returns one
+    :class:`~coalesce.spectrum.ResonancePeak` per x, in input order.
     """
-    xs = [float(x) for x in xs]
-    k0 = _start_wavenumber(zeta, zeta_m, pair_index)
+    xs = spectrum.displacements(x_values)
+    pair = closed_form.peak_positions(zeta, zeta_m, pair_index)
+    bare = closed_form.bare_resonance(2 * pair_index, zeta)
+    k0 = min((pair.k_even, pair.k_odd), key=lambda k: abs(k - bare))
     g_est = two_mode.tunneling_rate(zeta_m, k0)
     half_width = 0.35
     max_step = 0.25 * half_width / g_est if g_est > 0 else math.inf
@@ -163,25 +122,23 @@ def _track_full_grid(zeta, zeta_m, xs, pair_index):
                        key=lambda i: -xs[i])
     results = [None] * len(xs)
     for order in (order_pos, order_neg):
-        if not order:
-            continue
         path = []
         wanted = []
         previous = 0.0
         for i in order:
             target = xs[i]
             gap = target - previous
-            extra = (int(math.ceil(abs(gap) / max_step)) - 1
-                     if math.isfinite(max_step) and max_step > 0 else 0)
+            # no waypoints when max_step is infinite
+            extra = math.ceil(abs(gap) / max_step) - 1
             for j in range(1, extra + 1):
                 path.append(previous + gap * j / (extra + 1))
             path.append(target)
             wanted.append(len(path) - 1)
             previous = target
-        tracked = track_resonance(zeta, zeta_m, path, k0,
-                                  half_width=half_width)
+        tracked = spectrum.track(zeta, zeta_m, path, k0, half_width,
+                                 members=1, grid_per_kappa=25)
         for i, j in zip(order, wanted):
-            results[i] = tracked[j]
+            results[i] = tracked[j][0]
     return results
 
 
@@ -198,24 +155,15 @@ def run_fig2_resonant_transmission(zeta=DEFAULT_ZETA,
     """
     if x_grid is None:
         x_grid = np.linspace(-0.1, 0.1, 201)
-    xs = [float(x) for x in x_grid]
-    if any(not abs(x) < 0.25 for x in xs):
-        raise InvalidParameterError("x grid must lie inside (-1/4, 1/4)")
-
-    def trace(zm):
-        tracked = _track_full_grid(zeta, zm, xs, pair_index)
-        ks = [k for k, _ in tracked]
-        ts = [t for _, t in tracked]
-        overlay = [closed_form.resonant_transmission(x, zm, k)
-                   for x, k in zip(xs, ks)]
-        return ks, ts, overlay
-
-    traces = _ordered_map(trace, zeta_m_list)
+    xs = spectrum.displacements(x_grid)
     columns = {"x": _grid(xs)}
-    for i, (ks, ts, overlay) in enumerate(traces):
-        columns[f"k_res_{i}"] = _grid(ks)
-        columns[f"T_num_{i}"] = _grid(ts)
-        columns[f"T_formula_{i}"] = _grid(overlay)
+    for i, zm in enumerate(zeta_m_list):
+        tracked = track_resonance(zeta, zm, xs, pair_index)
+        columns[f"k_res_{i}"] = _grid(p.k_peak for p in tracked)
+        columns[f"T_num_{i}"] = _grid(p.T_peak for p in tracked)
+        columns[f"T_formula_{i}"] = _grid(
+            closed_form.resonant_transmission(x, zm, p.k_peak)
+            for x, p in zip(xs, tracked))
     params = {"zeta": float(zeta),
               "zeta_m_list": [float(z) for z in zeta_m_list],
               "x_grid": [float(x) for x in xs],
@@ -240,25 +188,26 @@ def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=FIG3_ZETA_M,
     else:
         # the pair must exist, as for the default window
         closed_form.pair_center(zeta, zeta_m, pair_index)
-    branch = spectrum.track_branches(zeta, zeta_m, xs, k_window)
-    if len(branch) != len(xs):
+    lo, hi = float(k_window[0]), float(k_window[1])
+    tracked = spectrum.track(zeta, zeta_m, xs, 0.5 * (lo + hi),
+                             0.5 * (hi - lo))
+    if any(len(pair) != 2 for pair in tracked):
         raise InvalidParameterError(
             "pair merged inside the displacement grid; shrink |x| or "
             "reduce |zeta_m|")
-    lossless = _ordered_map(
-        lambda x: closed_form.lossless_pair(zeta_m, x, pair_index), xs)
+    lossless = [closed_form.lossless_pair(zeta_m, x, pair_index) for x in xs]
     columns = {
         "x": _grid(xs),
-        "k_lower": _grid(b.k_lower for b in branch),
-        "k_upper": _grid(b.k_upper for b in branch),
-        "T_lower": _grid(b.T_lower for b in branch),
-        "T_upper": _grid(b.T_upper for b in branch),
-        "k_lossless_lower": _grid(lo for lo, _ in lossless),
-        "k_lossless_upper": _grid(hi for _, hi in lossless),
+        "k_lower": _grid(lower.k_peak for lower, _ in tracked),
+        "k_upper": _grid(upper.k_peak for _, upper in tracked),
+        "T_lower": _grid(lower.T_peak for lower, _ in tracked),
+        "T_upper": _grid(upper.T_peak for _, upper in tracked),
+        "k_lossless_lower": _grid(k for k, _ in lossless),
+        "k_lossless_upper": _grid(k for _, k in lossless),
     }
     params = {"zeta": float(zeta), "zeta_m": float(zeta_m),
               "x_grid": [float(x) for x in xs],
-              "k_window": [float(k_window[0]), float(k_window[1])],
+              "k_window": [lo, hi],
               "pair_index": int(pair_index),
               "version": __version__}
     return FigureDataset(name="fig3_mode_pulling", columns=columns,
@@ -293,7 +242,7 @@ def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
             return (1, pk.k_peak, pk.T_peak, math.nan, math.nan, width)
         return (0, math.nan, math.nan, math.nan, math.nan, math.nan)
 
-    rows = _ordered_map(row, zms)
+    rows = [row(zm) for zm in zms]
     weak = min(zms, key=abs)
     strong = max(zms, key=abs)
     merge = spectrum.find_merge_point(zeta, (weak, strong), pair_index)

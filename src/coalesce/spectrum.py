@@ -1,4 +1,4 @@
-"""Transmission scans, peak location/refinement, and branch tracking.
+"""Transmission scans, peak location/refinement, and peak tracking.
 
 All searches run on a wavenumber grid sized against the bare cavity
 linewidth kappa (grid step = kappa / grid_per_kappa), detect local
@@ -9,9 +9,8 @@ cell.  The grid maxima and their prominences are computed in-house,
 with the rules of SciPy's ``signal.find_peaks``, and half-widths use
 :func:`closed_form.bisect`, so numpy is the only runtime dependency.
 Everything is a pure function of its inputs: identical calls
-return identical results, and grids may be evaluated in parallel as long
-as results are assembled in input order (numpy evaluation here is
-already ordered).
+return identical results.  :func:`track` is the one loop that follows
+peaks across displacements of the middle element.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from .errors import (
 
 __all__ = [
     "ResonancePeak",
-    "BranchPoint",
     "scan_transmission",
     "find_peaks",
     "peak_halfwidth",
-    "track_branches",
+    "displacements",
+    "track",
     "find_merge_point",
     "pair_window",
     "branch_window",
@@ -58,17 +57,6 @@ class ResonancePeak:
     k_peak: float
     T_peak: float
     hwhm: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class BranchPoint:
-    """Positions and heights of the two pulled peaks at displacement x."""
-
-    x: float
-    k_lower: float
-    k_upper: float
-    T_lower: float
-    T_upper: float
 
 
 def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
@@ -289,53 +277,56 @@ def peak_halfwidth(system: CavitySystem, peak: ResonancePeak,
     return 0.5 * (widths[0] + widths[1])
 
 
-def track_branches(zeta, zeta_m, x_values: Sequence, k_window: Tuple,
-                   grid_per_kappa=50, refine_tol=1e-10, prominence=1e-9):
-    """Follow the two pulled peaks of one pair across displacements.
+def displacements(x_values: Sequence):
+    """The displacements as floats, each checked to satisfy |x| < 1/4.
 
-    For each x (in input order) the search window recenters on the
-    midpoint found at the previous x, which keeps the tracker locked on
-    the same pair.  Displacements where the pair has merged into a
-    single maximum contribute no BranchPoint.  Raises
-    :class:`PairIdentificationError` if the window captures peaks more
-    than one free spectral range apart, or loses the pair entirely.
+    Raises :class:`InvalidParameterError` naming the first one that
+    does not.
     """
-    lo, hi = float(k_window[0]), float(k_window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-        raise InvalidParameterError(f"bad k_window {k_window!r}")
-    half_width = 0.5 * (hi - lo)
-    center = 0.5 * (lo + hi)
-    points = []
-    for x in x_values:
-        xv = float(x)
-        if not abs(xv) < 0.25:
+    xs = [float(x) for x in x_values]
+    for x in xs:
+        if not abs(x) < 0.25:
             raise InvalidParameterError(
-                f"displacements must satisfy |x| < 1/4, got {xv}")
-        system = CavitySystem.with_middle(zeta, zeta_m, xv)
+                f"displacements must satisfy |x| < 1/4, got {x}")
+    return xs
+
+
+def track(zeta, zeta_m, x_values: Sequence, center, half_width, members=2,
+          grid_per_kappa=50, refine_tol=1e-10, prominence=1e-9):
+    """Follow the ``members`` peaks nearest a moving center across x.
+
+    The displacements are checked first, then visited in input order.
+    At each x the window ``center +- half_width`` is searched with
+    :func:`find_peaks`; the ``members`` peaks nearest the center are
+    kept, sorted by k, and the window recenters on their midpoint (the
+    peak itself when one is kept), which locks the tracker on the same
+    peak or pair.  Returns one tuple of :class:`ResonancePeak` per x; it
+    holds a single peak where a pair has merged.  Raises
+    :class:`PairIdentificationError` if the window loses the peaks, or
+    if two kept peaks are more than one free spectral range apart (the
+    window captured the wrong pair).
+    """
+    xs = displacements(x_values)
+    center, half_width = float(center), float(half_width)
+    out = []
+    for x in xs:
+        system = CavitySystem.with_middle(zeta, zeta_m, x)
         peaks = find_peaks(system, center - half_width, center + half_width,
                            grid_per_kappa=grid_per_kappa,
                            refine_tol=refine_tol, prominence=prominence)
         if not peaks:
             raise PairIdentificationError(
-                f"tracking window lost the pair at x = {xv}")
-        peaks = sorted(peaks, key=lambda p: abs(p.k_peak - center))[:2]
-        peaks.sort(key=lambda p: p.k_peak)
-        if len(peaks) == 2:
-            gap = peaks[1].k_peak - peaks[0].k_peak
-            if gap > math.pi * (1.0 + 1e-9):
-                raise PairIdentificationError(
-                    f"peaks at x = {xv} are {gap:.6g} apart, more than one "
-                    "free spectral range; window captured the wrong pair")
-            points.append(BranchPoint(x=xv,
-                                      k_lower=peaks[0].k_peak,
-                                      k_upper=peaks[1].k_peak,
-                                      T_lower=peaks[0].T_peak,
-                                      T_upper=peaks[1].T_peak))
-            center = 0.5 * (peaks[0].k_peak + peaks[1].k_peak)
-        else:
-            # merged pair: keep following the single maximum
-            center = peaks[0].k_peak
-    return points
+                f"tracking window lost the peak at x = {x}")
+        kept = sorted(peaks, key=lambda p: abs(p.k_peak - center))[:members]
+        kept.sort(key=lambda p: p.k_peak)
+        gap = kept[-1].k_peak - kept[0].k_peak
+        if gap > math.pi * (1.0 + 1e-9):
+            raise PairIdentificationError(
+                f"peaks at x = {x} are {gap:.6g} apart, more than one "
+                "free spectral range; window captured the wrong pair")
+        out.append(tuple(kept))
+        center = 0.5 * (kept[0].k_peak + kept[-1].k_peak)
+    return out
 
 
 def pair_window(zeta, zeta_m, pair_index):
@@ -352,13 +343,14 @@ def branch_window(zeta, zeta_m, x_values, pair_index=1):
 
     Centered on the pair center, it spans 1.3 times the largest two-mode
     half-splitting sqrt(delta**2 + (g_m x)**2) on the grid plus 4 kappa,
-    and at least 8 kappa either side.
+    and at least 8 kappa either side.  The displacements are checked
+    as in :func:`track`.
     """
+    xmax = max(map(abs, displacements(x_values)), default=0.0)
     center = closed_form.pair_center(zeta, zeta_m, pair_index)
     kappa = closed_form.bare_linewidth(zeta)
     delta = 0.5 * closed_form.mode_splitting(zeta_m)
     g_m = two_mode.tunneling_rate(zeta_m, center)
-    xmax = max((abs(float(x)) for x in x_values), default=0.0)
     half = max(8.0 * kappa,
                1.3 * math.sqrt(delta ** 2 + (g_m * xmax) ** 2) + 4 * kappa)
     return center - half, center + half

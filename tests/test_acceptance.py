@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import coalesce as co
-from coalesce.experiments import track_resonance, _start_wavenumber
+from coalesce.experiments import track_resonance
 
 ZETA = -10.0
 KAPPA = co.bare_linewidth(ZETA)
@@ -111,13 +111,13 @@ def test_criterion_05_displacement_formula_reproduction():
             assert num[i0] == pytest.approx(1.0, abs=1e-6)
             # quarter-phase point 2 k x = pi/2 (x solves the implicit
             # equation since the resonant k depends on x)
-            k0 = _start_wavenumber(ZETA, zeta_m, 1)
+            k0 = track_resonance(ZETA, zeta_m, [0.0])[0].k_peak
             x_star = math.pi / (4.0 * k0)
             for _ in range(3):
                 steps = np.linspace(0.0, x_star, 41)
-                tracked = track_resonance(ZETA, zeta_m, steps, k0)
-                x_star = math.pi / (4.0 * tracked[-1][0])
-            t_star = tracked[-1][1]
+                tracked = track_resonance(ZETA, zeta_m, steps)
+                x_star = math.pi / (4.0 * tracked[-1].k_peak)
+            t_star = tracked[-1].T_peak
             assert t_star == pytest.approx(1.0 / (1.0 + zeta_m ** 2),
                                            rel=0.01)
 
@@ -150,9 +150,8 @@ def test_criterion_07_sensitivity_consistency():
         h = rep.x_small_bound / 10.0
 
         def upper_branch(x):
-            pts = co.track_branches(ZETA, zeta_m, [x],
-                                    (omega - 6 * KAPPA, omega + 6 * KAPPA))
-            return pts[0].k_upper
+            (pair,) = co.track(ZETA, zeta_m, [x], omega, 6 * KAPPA)
+            return pair[1].k_peak
 
         k_0, k_p, k_m = upper_branch(0.0), upper_branch(h), upper_branch(-h)
         g2_fd = (k_p - 2.0 * k_0 + k_m) / (2.0 * h * h)

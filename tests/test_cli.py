@@ -138,6 +138,23 @@ class TestBranchesContract:
         assert body[0] == "x,k_lower,k_upper,T_lower,T_upper"
         assert len(body) == 1 + 3
 
+    @pytest.mark.parametrize("bound", ["--kmin=6.17", "--kmax=6.23"])
+    def test_lone_window_bound_refused(self, capsys, bound):
+        code, out, err = run_cli(capsys, "branches", "--xpoints", "3", bound)
+        assert code == 3 and out == ""
+        assert err.startswith("error[invalid-parameter]:")
+        assert "--kmin and --kmax" in err
+
+
+class TestDisplacementGrid:
+    @pytest.mark.parametrize("command", ["sweep-x", "branches"])
+    def test_out_of_range_grid_names_the_user_x(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--xmin=0.3", "--xmax=0.4",
+                                 "--xpoints", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("error[invalid-parameter]:")
+        assert err.strip().endswith("got 0.3")
+
 
 class TestConfigFile:
     def test_empty_file_uses_defaults(self, capsys, tmp_path):

@@ -187,12 +187,12 @@ class TestResonantTransmission:
 
     def test_matches_full_numerics_loosely(self):
         # tracked-peak height vs the displacement formula at zeta_m = -5
-        from coalesce.experiments import track_resonance, _start_wavenumber
+        from coalesce.experiments import track_resonance
         xs = np.linspace(0.0, 0.1, 11)
-        k0 = _start_wavenumber(-10.0, -5.0, 1)
-        tracked = track_resonance(-10.0, -5.0, xs, k0)
-        worst = max(abs(t - resonant_transmission(float(x), -5.0, k))
-                    for x, (k, t) in zip(xs, tracked))
+        tracked = track_resonance(-10.0, -5.0, xs)
+        worst = max(abs(p.T_peak
+                        - resonant_transmission(float(x), -5.0, p.k_peak))
+                    for x, p in zip(xs, tracked))
         assert worst <= 0.02
 
 

@@ -172,9 +172,10 @@ class TestFig3:
 
 class TestTrackResonance:
     def test_lost_peak_is_pair_identification(self):
-        # nothing resonates within 0.35 of k = 4.7 at zeta_m = -50
+        # weak mirrors near the threshold: the broad pair leaves the
+        # tracking window as the middle element moves
         with pytest.raises(PairIdentificationError):
-            track_resonance(-10.0, -50.0, [0.0], 4.7)
+            track_resonance(-0.3, -0.59, np.linspace(-0.05, 0.05, 9))
 
 
 class TestThresholdSweep:
@@ -220,10 +221,3 @@ class TestRegenerationAndScheduling:
         zms = tuple(STAR * s for s in (0.9, 0.97, 1.03, 1.1))
         assert run_threshold_sweep(zeta_m_grid=zms) == \
             run_threshold_sweep(zeta_m_grid=zms)
-
-    def test_datasets_independent_of_thread_count(self, monkeypatch):
-        monkeypatch.setenv("COALESCE_THREADS", "1")
-        serial = run_fig1_spectra(n_points=301)
-        monkeypatch.setenv("COALESCE_THREADS", "3")
-        threaded = run_fig1_spectra(n_points=301)
-        assert serial == threaded

@@ -1,4 +1,4 @@
-"""Scanning, peak refinement, branch tracking and merge detection."""
+"""Scanning, peak refinement, peak tracking and merge detection."""
 
 import math
 
@@ -22,10 +22,11 @@ from coalesce import (
     peak_halfwidth,
     peak_positions,
     scan_transmission,
-    track_branches,
+    track,
     tunneling_rate,
     pair_center,
 )
+from coalesce import spectrum
 from coalesce.spectrum import _grid_maxima
 
 TWO_PI = 2.0 * math.pi
@@ -150,11 +151,17 @@ class TestPeakHalfwidth:
             peak_halfwidth(SYS_EMPTY, peaks[0], max_offset=1e-4)
 
 
+def window(lo, hi):
+    """(center, half_width) of the k window [lo, hi], as `track` takes it."""
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
 class TestTrackBranches:
     def test_gap_at_center_matches_closed_form(self):
-        pts = track_branches(-10.0, -196.6, [0.0], (6.13, 6.23))
-        assert len(pts) == 1
-        gap = pts[0].k_upper - pts[0].k_lower
+        pairs = track(-10.0, -196.6, [0.0], *window(6.13, 6.23))
+        assert len(pairs) == 1 and len(pairs[0]) == 2
+        lower, upper = pairs[0]
+        gap = upper.k_peak - lower.k_peak
         assert gap == pytest.approx(peak_positions(-10.0, -196.6).gap,
                                     rel=0.05)
 
@@ -162,46 +169,95 @@ class TestTrackBranches:
         x = 0.003
         center = pair_center(-10.0, -196.6)
         g_m = tunneling_rate(-196.6, center)
-        pts = track_branches(-10.0, -196.6, [0.0, 0.0015, x],
-                             (center - 0.06, center + 0.06))
-        gap = pts[-1].k_upper - pts[-1].k_lower
+        pairs = track(-10.0, -196.6, [0.0, 0.0015, x],
+                      *window(center - 0.06, center + 0.06))
+        lower, upper = pairs[-1]
+        gap = upper.k_peak - lower.k_peak
         assert gap == pytest.approx(2.0 * g_m * x, rel=0.02)
 
     def test_transparent_middle_keeps_bare_fsr(self):
-        pts = track_branches(-10.0, 0.0, [0.0, 0.01, 0.02], (2.7, 6.5))
-        for p in pts:
-            assert p.k_upper - p.k_lower == pytest.approx(math.pi, abs=1e-6)
-            assert p.T_lower == pytest.approx(1.0, abs=1e-6)
+        pairs = track(-10.0, 0.0, [0.0, 0.01, 0.02], *window(2.7, 6.5))
+        for lower, upper in pairs:
+            assert upper.k_peak - lower.k_peak == pytest.approx(math.pi,
+                                                                abs=1e-6)
+            assert lower.T_peak == pytest.approx(1.0, abs=1e-6)
 
     def test_branch_continuity(self):
         xs = np.linspace(-0.002, 0.002, 21)
         center = pair_center(-10.0, -196.6)
-        pts = track_branches(-10.0, -196.6, xs, (center - 0.05, center + 0.05))
-        assert len(pts) == len(xs)
+        pairs = track(-10.0, -196.6, xs, *window(center - 0.05, center + 0.05))
+        assert [len(p) for p in pairs] == [2] * len(xs)
         g_m = tunneling_rate(-196.6, center)
         dx = xs[1] - xs[0]
-        for a, b in zip(pts, pts[1:]):
-            assert abs(b.k_upper - a.k_upper) <= 1.5 * g_m * dx
-            assert abs(b.k_lower - a.k_lower) <= 1.5 * g_m * dx
+        for (a_lo, a_up), (b_lo, b_up) in zip(pairs, pairs[1:]):
+            assert abs(b_up.k_peak - a_up.k_peak) <= 1.5 * g_m * dx
+            assert abs(b_lo.k_peak - a_lo.k_peak) <= 1.5 * g_m * dx
 
     def test_merged_points_are_skipped(self):
         # slightly above threshold the pair is merged near x = 0 but
-        # separates again at finite displacement
+        # separates again at finite displacement; a merged point holds
+        # one peak, so a filter on pairs skips it
         zm = -202.0
         center = bare_resonance(2, -10.0) - 0.5 * mode_splitting(zm)
         xs = [0.0, 2e-5, 2e-4]
-        pts = track_branches(-10.0, zm, xs, (center - 0.05, center + 0.05))
-        assert 0 < len(pts) < len(xs)
-        assert all(abs(p.x) > 1e-5 for p in pts)
+        tracked = track(-10.0, zm, xs, *window(center - 0.05, center + 0.05))
+        pair_xs = [x for x, p in zip(xs, tracked) if len(p) == 2]
+        assert 0 < len(pair_xs) < len(xs)
+        assert all(abs(x) > 1e-5 for x in pair_xs)
 
     def test_wrong_pair_detected(self):
         # window spanning two different coalescing pairs
         with pytest.raises(PairIdentificationError):
-            track_branches(-10.0, -196.6, [0.0], (5.95, 12.69))
+            track(-10.0, -196.6, [0.0], *window(5.95, 12.69))
 
     def test_displacement_bound(self):
         with pytest.raises(InvalidParameterError):
-            track_branches(-10.0, -196.6, [0.3], (6.1, 6.3))
+            track(-10.0, -196.6, [0.3], *window(6.1, 6.3))
+
+
+@pytest.mark.parametrize("members", [1, 2])
+class TestTrack:
+    def test_lost_peak(self, members):
+        # nothing resonates within 0.35 of k = 4.7 at zeta_m = -50
+        with pytest.raises(PairIdentificationError, match="x = 0.0"):
+            track(-10.0, -50.0, [0.0], 4.7, 0.35, members=members)
+
+    def test_merged_pair_is_one_peak(self, members):
+        # above threshold the pair is one peak at x = 0 and 2e-5 and
+        # separates at 2e-4, where only two members keep both peaks
+        zm = -202.0
+        center = bare_resonance(2, -10.0) - 0.5 * mode_splitting(zm)
+        tracked = track(-10.0, zm, [0.0, 2e-5, 2e-4], center, 0.05,
+                        members=members)
+        assert [len(p) for p in tracked] == [1, 1, members]
+        assert all(isinstance(p, tuple) for p in tracked)
+        for peaks in tracked:
+            assert [q.k_peak for q in peaks] == sorted(q.k_peak
+                                                       for q in peaks)
+
+    def test_wrong_pair(self, members):
+        # the window reaches the pairs near 2 pi and 4 pi, and its
+        # center lies about half-way: two members are a wrong pair,
+        # one member is the single peak nearest the center
+        center, half = window(5.95, 12.69)
+        if members == 2:
+            with pytest.raises(PairIdentificationError, match="apart"):
+                track(-10.0, -196.6, [0.0], center, half, members=members)
+        else:
+            ((peak,),) = track(-10.0, -196.6, [0.0], center, half,
+                               members=members)
+            assert peak.k_peak == pytest.approx(
+                pair_center(-10.0, -196.6), abs=0.01)
+
+    @pytest.mark.parametrize("x", [0.25, -0.25, 0.3, math.nan])
+    def test_displacement_checked_before_any_search(self, members, x,
+                                                    monkeypatch):
+        def no_search(*_args, **_kwargs):
+            raise AssertionError("searched before checking the grid")
+
+        monkeypatch.setattr(spectrum, "find_peaks", no_search)
+        with pytest.raises(InvalidParameterError, match=f"got {x}"):
+            track(-10.0, -196.6, [0.0, x], 6.18, 0.05, members=members)
 
 
 class TestFindMergePoint:
