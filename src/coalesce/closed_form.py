@@ -32,6 +32,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
     NotBracketedError,
+    finite as _finite,
 )
 
 __all__ = [
@@ -53,13 +54,6 @@ __all__ = [
 
 
 _RTOL = 4.0 * math.ulp(1.0)   # SciPy's default rtol, 4 eps
-
-
-def _finite(name, value):
-    v = float(value)
-    if not math.isfinite(v):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    return v
 
 
 def bisect(f, lo, hi, xtol):

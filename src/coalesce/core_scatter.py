@@ -22,9 +22,10 @@ lossless structure m11 = conj(m22), m12 = conj(m21), which implies
 |m22|^2 = 1 + |m21|^2 exactly.  Products are therefore carried as the
 pair (a, b) = (m11, m12) alone, as Python complex numbers for a scalar
 wavenumber and numpy arrays otherwise.  :func:`transmission` exploits the
-identity and evaluates T = 1/(1 + |m21|^2); it is algebraically equal to
-1/|m22|^2 but remains accurate (and <= 1) when near-unity transmission
-would otherwise suffer cancellation between large matrix entries.
+identity and evaluates T = 1/(1 + |m21|^2), equal to 1/|m22|^2 but
+accurate (and <= 1) where that would cancel between large entries, in
+blocks of ``_BLOCK`` wavenumbers that bound the temporaries and change
+no bit.  :func:`s_derivatives` adds the first two k-derivatives.
 
 Every function is pure; systems are immutable.  For array wavenumbers,
 matrices are stacked along the leading axes.
@@ -39,7 +40,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, finite as _finite
+
+_BLOCK = 16384   # array wavenumbers per block of the bulk kernel
 
 __all__ = [
     "CavitySystem",
@@ -48,17 +51,11 @@ __all__ = [
     "system_matrix",
     "stack_matrix",
     "transmission",
+    "s_derivatives",
     "reflection_amplitude",
     "effective_polarizability",
     "maximize_stack_polarizability",
 ]
-
-
-def _check_finite_real(name, value):
-    v = float(value)
-    if not math.isfinite(v):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -75,13 +72,13 @@ class CavitySystem:
 
     def __post_init__(self):
         object.__setattr__(self, "zeta_end",
-                           _check_finite_real("zeta_end", self.zeta_end))
+                           _finite("zeta_end", self.zeta_end))
         els, hops = [], []
         prev = 0.0
         for item in self.elements:
             pos, zeta = item
-            pos = _check_finite_real("element position", pos)
-            zeta = _check_finite_real("element polarizability", zeta)
+            pos = _finite("element position", pos)
+            zeta = _finite("element polarizability", zeta)
             if not 0.0 < pos < 1.0:
                 raise InvalidParameterError(
                     f"element position {pos} not strictly inside (0, 1)")
@@ -103,7 +100,7 @@ class CavitySystem:
     @classmethod
     def with_middle(cls, zeta_end, zeta_m, displacement=0.0):
         """Cavity with a single reflector at 1/2 + displacement."""
-        x = _check_finite_real("displacement", displacement)
+        x = _finite("displacement", displacement)
         if not abs(x) < 0.5:
             raise InvalidParameterError(
                 f"|displacement| must be < 1/2, got {x}")
@@ -117,7 +114,7 @@ def scatter_matrix(zeta):
     and reproduces |r|^2 = zeta^2/(1 + zeta^2) for a single element.
     ``zeta = 0`` gives the identity (transparent element).
     """
-    z = _check_finite_real("zeta", zeta)
+    z = _finite("zeta", zeta)
     return np.array([[1.0 + 1j * z, 1j * z],
                      [-1j * z, 1.0 - 1j * z]])
 
@@ -128,7 +125,7 @@ def propagation_matrix(k, d):
     ``k`` may be a scalar or an array; the result has shape
     ``k.shape + (2, 2)``.
     """
-    d = _check_finite_real("d", d)
+    d = _finite("d", d)
     if d < 0:
         raise InvalidParameterError(f"propagation distance must be >= 0, got {d}")
     karr = np.asarray(k, dtype=float)
@@ -176,8 +173,8 @@ def _system_ab(system, k):
 
 
 def _stack_ab(elements, k):
-    els = [(_check_finite_real("element position", pos),
-            _check_finite_real("zeta", zeta)) for pos, zeta in elements]
+    els = [(_finite("element position", pos),
+            _finite("zeta", zeta)) for pos, zeta in elements]
     if not els:
         raise InvalidParameterError("stack needs at least one element")
     if any(q <= p for (p, _), (q, _) in zip(els, els[1:])):
@@ -223,8 +220,41 @@ def transmission(system: CavitySystem, k):
     Evaluated as 1/(1 + |m21|^2) via the lossless identity
     |m22|^2 = 1 + |m21|^2, so the result never exceeds 1.
     """
-    _, b = _system_ab(system, k)
+    k = _check_k(k)
+    if isinstance(k, np.ndarray) and k.size > _BLOCK:
+        ks = k.ravel()
+        return np.concatenate([transmission(system, ks[i:i + _BLOCK]) for i
+                               in range(0, ks.size, _BLOCK)]).reshape(k.shape)
+    _, b = _compose(system.zeta_end, system._hops, k)
     return 1.0 / (1.0 + (b.real * b.real + b.imag * b.imag))
+
+
+def s_derivatives(system: CavitySystem, k):
+    """(s, ds/dk, d2s/dk2) for s = |m21|^2 = 1/T - 1 at a scalar k.
+
+    Carries (a, b) of :func:`_compose` with its first two k-derivatives:
+    a hop by d brings e = e^{ikd}, e' = i d e and e'' = -d^2 e in by the
+    product rule, and a scatterer acts linearly on each order.  s is
+    bit-identical to the one :func:`transmission` inverts.
+    """
+    k = _check_k(k)
+    if not isinstance(k, float):
+        raise InvalidParameterError("s_derivatives takes a scalar k")
+    a, b = 1.0 + 1j * system.zeta_end, 1j * system.zeta_end
+    a1 = b1 = a2 = b2 = 0j
+    for d, zeta in system._hops:
+        e = cmath.exp(1j * (k * d))
+        e1, e2 = 1j * d * e, -d * d * e
+        a, a1, a2 = e * a, e1 * a + e * a1, e2 * a + 2.0 * e1 * a1 + e * a2
+        b, b1, b2 = e * b, e1 * b + e * b1, e2 * b + 2.0 * e1 * b1 + e * b2
+        u, u1, u2 = a + b.conjugate(), a1 + b1.conjugate(), a2 + b2.conjugate()
+        a, a1, a2 = a + 1j * zeta * u, a1 + 1j * zeta * u1, a2 + 1j * zeta * u2
+        b, b1, b2 = (b + 1j * zeta * u.conjugate(),
+                     b1 + 1j * zeta * u1.conjugate(),
+                     b2 + 1j * zeta * u2.conjugate())
+    bc = b.conjugate()
+    return (b.real * b.real + b.imag * b.imag, 2.0 * (bc * b1).real,
+            2.0 * ((b1.real * b1.real + b1.imag * b1.imag) + (bc * b2).real))
 
 
 def reflection_amplitude(system: CavitySystem, k):
@@ -260,7 +290,7 @@ def maximize_stack_polarizability(zeta, n_elements, k=2.0 * math.pi,
     for the best spacing found.  For one element the spacing is
     irrelevant and (|zeta|, 0.0) is returned.
     """
-    z = _check_finite_real("zeta", zeta)
+    z = _finite("zeta", zeta)
     n = int(n_elements)
     if n < 1:
         raise InvalidParameterError("n_elements must be >= 1")

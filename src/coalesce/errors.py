@@ -5,6 +5,8 @@ Every error raised on purpose by this package derives from
 failures without swallowing genuine bugs.
 """
 
+import math
+
 
 class CoalescenceError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -13,6 +15,14 @@ class CoalescenceError(Exception):
 class InvalidParameterError(CoalescenceError, ValueError):
     """An argument violates a documented precondition (non-finite,
     out of range, wrong sign, ...)."""
+
+
+def finite(name, value):
+    """``value`` as a float, or :class:`InvalidParameterError` if not finite."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+    return v
 
 
 class AboveThresholdError(CoalescenceError):

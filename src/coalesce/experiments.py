@@ -68,14 +68,9 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
     """
     k_min, k_max = float(k_window[0]), float(k_window[1])
     ks = np.linspace(k_min, k_max, int(n_points))
-
-    def trace(zm):
-        system = CavitySystem.with_middle(zeta, zm)
-        _, ts = spectrum.scan_transmission(system, k_min, k_max,
-                                           int(n_points))
-        return _grid(ts)
-
-    traces = [trace(zm) for zm in zeta_m_list]
+    traces = [_grid(spectrum.scan_transmission(
+        CavitySystem.with_middle(zeta, zm), k_min, k_max, int(n_points))[1])
+        for zm in zeta_m_list]
     columns = {"k": _grid(ks)}
     annotations = {}
     n_max = int(math.ceil(k_max / (2.0 * math.pi))) + 1
@@ -104,9 +99,10 @@ def track_resonance(zeta, zeta_m, x_values: Sequence, pair_index=1):
     The walk starts at the pair member closest to the bare even
     resonance (closed form) and goes outward from x = 0: up through the
     non-negative displacements, then down through the negative ones.
-    Coarse grids are densified with intermediate waypoints so the peak
-    never moves further than a fraction of the window between steps
-    (the branch slope is bounded by the tunneling rate).  Returns one
+    The branch slope is bounded by the tunneling rate g, so a step dx
+    moves the peak by at most g dx.  The window half-width w is
+    min(0.35, 8 kappa + 2 g dx) for the widest step of either walk, and
+    steps longer than w / (4 g) get waypoints.  Returns one
     :class:`~coalesce.spectrum.ResonancePeak` per x, in input order.
     """
     xs = spectrum.displacements(x_values)
@@ -114,27 +110,26 @@ def track_resonance(zeta, zeta_m, x_values: Sequence, pair_index=1):
     bare = closed_form.bare_resonance(2 * pair_index, zeta)
     k0 = min((pair.k_even, pair.k_odd), key=lambda k: abs(k - bare))
     g_est = two_mode.tunneling_rate(zeta_m, k0)
-    half_width = 0.35
+    orders = (sorted((i for i, x in enumerate(xs) if x >= 0),
+                     key=lambda i: xs[i]),
+              sorted((i for i, x in enumerate(xs) if x < 0),
+                     key=lambda i: -xs[i]))
+    walks = [[0.0] + [xs[i] for i in order] for order in orders]
+    widest = max((abs(b - a) for w in walks for a, b in zip(w, w[1:])),
+                 default=0.0)
+    half_width = min(0.35, 8.0 * closed_form.bare_linewidth(zeta)
+                     + 2.0 * g_est * widest)
     max_step = 0.25 * half_width / g_est if g_est > 0 else math.inf
-    order_pos = sorted((i for i, x in enumerate(xs) if x >= 0),
-                       key=lambda i: xs[i])
-    order_neg = sorted((i for i, x in enumerate(xs) if x < 0),
-                       key=lambda i: -xs[i])
     results = [None] * len(xs)
-    for order in (order_pos, order_neg):
-        path = []
-        wanted = []
-        previous = 0.0
-        for i in order:
-            target = xs[i]
+    for order, walk in zip(orders, walks):
+        path, wanted = [], []
+        for previous, target in zip(walk, walk[1:]):
             gap = target - previous
             # no waypoints when max_step is infinite
             extra = math.ceil(abs(gap) / max_step) - 1
-            for j in range(1, extra + 1):
-                path.append(previous + gap * j / (extra + 1))
-            path.append(target)
+            path += [previous + gap * j / (extra + 1)
+                     for j in range(1, extra + 1)] + [target]
             wanted.append(len(path) - 1)
-            previous = target
         tracked = spectrum.track(zeta, zeta_m, path, k0, half_width,
                                  members=1, grid_per_kappa=25)
         for i, j in zip(order, wanted):

@@ -3,26 +3,27 @@
 All searches run on a wavenumber grid sized against the bare cavity
 linewidth kappa (grid step = kappa / grid_per_kappa), detect local
 maxima with a small prominence floor (so the flat top of a merging pair
-is not miscounted as several noise peaks), and polish each maximum with
-iterated three-point parabolic interpolation inside its bracketing grid
-cell.  The grid maxima and their prominences are computed in-house,
-with the rules of SciPy's ``signal.find_peaks``, and half-widths use
-:func:`closed_form.bisect`, so numpy is the only runtime dependency.
-Everything is a pure function of its inputs: identical calls
-return identical results.  :func:`track` is the one loop that follows
-peaks across displacements of the middle element.
+is not miscounted as several noise peaks), and polish each maximum by
+safeguarded Newton steps on s' = 0, s = 1/T - 1, inside its bracketing
+grid cell, with the analytic derivatives of
+:func:`core_scatter.s_derivatives`.  Half-widths solve T = T_peak/2 the
+same way.  The grid maxima and their prominences are computed in-house,
+with the rules of SciPy's ``signal.find_peaks``, so numpy is the only
+runtime dependency.  Everything is a pure function of its inputs:
+identical calls return identical results.  :func:`track` is the one
+loop that follows peaks across displacements of the middle element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import closed_form, two_mode
-from .core_scatter import CavitySystem, transmission
+from .core_scatter import CavitySystem, s_derivatives, transmission
 from .errors import (
     EdgeTruncationError,
     InvalidParameterError,
@@ -47,25 +48,24 @@ _MAX_GRID_POINTS = 5_000_000
 
 @dataclass(frozen=True)
 class ResonancePeak:
-    """A refined transmission maximum.
-
-    ``hwhm`` is filled in by :func:`peak_halfwidth` on demand (None until
-    then); it stays None for pair members whose half level is unreachable
-    without crossing the partner peak.
-    """
+    """A refined transmission maximum; :func:`peak_halfwidth` sizes it."""
 
     k_peak: float
     T_peak: float
-    hwhm: Optional[float] = None
 
 
-def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
-    """Uniformly sample T(k) on [k_min, k_max]: arrays ``(ks, ts)``."""
+def _window(k_min, k_max):
     k_min, k_max = float(k_min), float(k_max)
     if not (math.isfinite(k_min) and math.isfinite(k_max)
             and 0.0 < k_min < k_max):
         raise InvalidParameterError(
             f"need 0 < k_min < k_max, got [{k_min}, {k_max}]")
+    return k_min, k_max
+
+
+def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
+    """Uniformly sample T(k) on [k_min, k_max]: arrays ``(ks, ts)``."""
+    k_min, k_max = _window(k_min, k_max)
     n = int(n_points)
     if n < 2:
         raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
@@ -127,41 +127,37 @@ def _bases(heights, valleys):
     return out
 
 
-def _refine_maximum(f, x1, x2, x3, f2, tol):
-    """Polish a bracketed maximum by iterated parabolic interpolation.
+def _newton(f, lo, x, hi, tol):
+    """Root of ``f`` in (lo, hi) by safeguarded Newton steps from ``x``.
 
-    (x1, x2, x3) must bracket the maximum with f(x2) >= f(x1), f(x3).
-    Falls back to a bisection step of the wider wing whenever the
-    parabolic vertex is ill-conditioned or refuses to move; terminates
-    once the bracket is narrower than ``tol``.
+    ``f(x)`` gives the value, rising through the root, and its slope.
+    Each value moves the bracket end of its sign.  A step that leaves
+    the bracket, or comes from a slope <= 0, is replaced by bisection.
+    Ends at a Newton step of at most ``tol / 2`` inside the bracket, or
+    mid-bracket once values of both signs bound a bracket at most
+    ``tol`` (or four ulps) wide.  Raises
+    :class:`NotBracketedError` when the bracket collapses on an end never
+    evaluated, or after 64 evaluations.
     """
-    f1, f3 = f(x1), f(x3)
-    for _ in range(240):
-        width = x3 - x1
-        if width < tol:
-            break
-        num = ((x2 - x1) ** 2 * (f2 - f3) - (x2 - x3) ** 2 * (f2 - f1))
-        den = ((x2 - x1) * (f2 - f3) - (x2 - x3) * (f2 - f1))
-        v = x2 + 0.5 * num / den if den != 0.0 else x2
-        lo_gap = x2 - x1
-        hi_gap = x3 - x2
-        if (den == 0.0 or not x1 < v < x3
-                or min(abs(v - x1), abs(v - x2), abs(v - x3)) < 0.01 * width):
-            v = x2 + 0.5 * hi_gap if hi_gap > lo_gap else x2 - 0.5 * lo_gap
-        fv = f(v)
-        if v < x2:
-            if fv >= f2:
-                x1, x2, x3 = x1, v, x2
-                f1, f2, f3 = f1, fv, f2
-            else:
-                x1, f1 = v, fv
-        else:
-            if fv >= f2:
-                x1, x2, x3 = x2, v, x3
-                f1, f2, f3 = f2, fv, f3
-            else:
-                x3, f3 = v, fv
-    return x2, f2
+    signs = set()
+    for _ in range(64):
+        value, slope = f(x)
+        if value < 0.0 or value > 0.0:
+            lo, hi = (x, hi) if value < 0.0 else (lo, x)
+            signs.add(value > 0.0)
+        if len(signs) == 2 and hi - lo <= max(tol, 4.0 * math.ulp(x)):
+            return 0.5 * (lo + hi)
+        step = value / slope if slope > 0.0 else math.nan
+        new = x - step
+        if abs(step) <= 0.5 * tol and lo <= new <= hi:
+            return new
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:
+                raise NotBracketedError(
+                    f"refinement lost its bracket near {x!r}")
+        x = new
+    raise NotBracketedError(f"refinement did not converge near {x!r}")
 
 
 def _grid_for(system, k_min, k_max, grid_per_kappa):
@@ -192,7 +188,9 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
     grid_per_kappa : int
         Grid points per linewidth (>= 10, so the step is <= kappa/10).
     refine_tol : float
-        Bracket width, in k, at which refinement stops (<= 1e-8).
+        Width in k (<= 1e-8) to which each maximum is pinned: Newton
+        refinement stops at a step of at most half of it, or at a
+        bracket of both signs of s' at most this wide.
     prominence : float
         Minimum height of a maximum above its separating saddle; guards
         against counting round-off ripples on nearly flat tops.
@@ -200,13 +198,11 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
     Returns
     -------
     list of ResonancePeak, sorted by k.  An empty list means the window
-    contains no interior maximum (not an error).
+    contains no interior maximum (not an error).  Each peak stays inside
+    the two grid cells of its grid maximum, so no two coincide.  Raises
+    :class:`NotBracketedError` when a refinement does not converge.
     """
-    k_min, k_max = float(k_min), float(k_max)
-    if not (math.isfinite(k_min) and math.isfinite(k_max)
-            and 0.0 < k_min < k_max):
-        raise InvalidParameterError(
-            f"need 0 < k_min < k_max, got [{k_min}, {k_max}]")
+    k_min, k_max = _window(k_min, k_max)
     if grid_per_kappa < 10:
         raise InvalidParameterError(
             f"grid_per_kappa must be >= 10, got {grid_per_kappa}")
@@ -215,65 +211,45 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
             f"refine_tol must be in (0, 1e-8], got {refine_tol}")
     ks = _grid_for(system, k_min, k_max, grid_per_kappa)
     ts = transmission(system, ks)
-    idx = _grid_maxima(ts, prominence)
-
-    def f(k):
-        return transmission(system, float(k))
-
-    step = ks[1] - ks[0]
     peaks = []
-    for i in idx:
-        kp, tp = _refine_maximum(f, ks[i - 1], ks[i], ks[i + 1], ts[i],
-                                 refine_tol)
-        peaks.append(ResonancePeak(k_peak=float(kp), T_peak=float(tp)))
-    peaks.sort(key=lambda p: p.k_peak)
-    # collapse refinements that converged onto the same maximum
-    merged = []
-    for p in peaks:
-        if merged and p.k_peak - merged[-1].k_peak < 0.5 * step:
-            if p.T_peak > merged[-1].T_peak:
-                merged[-1] = p
-        else:
-            merged.append(p)
-    return merged
+    for i in _grid_maxima(ts, prominence):
+        k = float(_newton(lambda k: s_derivatives(system, k)[1:], ks[i - 1],
+                          ks[i], ks[i + 1], refine_tol))
+        peaks.append(ResonancePeak(k_peak=k, T_peak=transmission(system, k)))
+    return peaks
 
 
 def peak_halfwidth(system: CavitySystem, peak: ResonancePeak,
                    max_offset=0.5 * math.pi):
     """Half width of a refined peak at half its height.
 
-    Expands outward from ``peak.k_peak`` on each side until the
-    transmission drops below T_peak/2, then bisects the crossing to
-    1e-10; returns the average of the two sides.  Raises
+    On each side, offsets from ``peak.k_peak`` double from kappa/2
+    until the transmission drops to T_peak/2; safeguarded Newton steps
+    on s = 2/T_peak - 1 then locate the crossing inside the last
+    doubling to 1e-10.  Returns the average of the two sides.  Raises
     :class:`EdgeTruncationError` if a side reaches ``max_offset`` before
-    the half level.
+    the half level, and :class:`NotBracketedError` if the solve does not
+    converge.
     """
     if not (math.isfinite(peak.k_peak) and 0.0 < peak.T_peak):
         raise InvalidParameterError(f"invalid peak {peak!r}")
     kappa = closed_form.bare_linewidth(system.zeta_end)
     half = 0.5 * peak.T_peak
-    step0 = kappa / 4.0
-
-    def f(k):
-        return transmission(system, float(k))
-
     widths = []
     for sign in (-1.0, 1.0):
-        h = step0
-        prev = 0.0
-        while f(peak.k_peak + sign * h) > half:
-            prev = h
-            h *= 1.5
-            if h > max_offset:
+        def f(h, sign=sign):
+            s, ds, _ = s_derivatives(system, peak.k_peak + sign * h)
+            return s - (1.0 / half - 1.0), sign * ds
+
+        lo, hi = 0.0, min(0.5 * kappa, max_offset)
+        while f(hi)[0] < 0.0:   # the sign test _newton applies
+            if hi >= max_offset:
                 raise EdgeTruncationError(
                     "half level not reached within "
                     f"{max_offset:g} of the peak on the "
                     f"{'left' if sign < 0 else 'right'} side")
-        lo = peak.k_peak + sign * prev
-        hi = peak.k_peak + sign * h
-        root = closed_form.bisect(lambda k: f(k) - half, min(lo, hi),
-                                  max(lo, hi), xtol=1e-10)
-        widths.append(abs(root - peak.k_peak))
+            lo, hi = hi, min(2.0 * hi, max_offset)
+        widths.append(_newton(f, lo, hi, hi, 2e-10))
     return 0.5 * (widths[0] + widths[1])
 
 

@@ -24,6 +24,7 @@ from .errors import (
     DivergentSensitivityError,
     InternalConsistencyError,
     InvalidParameterError,
+    finite as _finite,
 )
 
 __all__ = [
@@ -45,13 +46,6 @@ __all__ = [
 # CODATA exact values
 HBAR = 1.054571817e-34      # J s
 BOLTZMANN = 1.380649e-23    # J / K
-
-
-def _finite(name, value):
-    v = float(value)
-    if not math.isfinite(v):
-        raise InvalidParameterError(f"{name} must be finite, got {value!r}")
-    return v
 
 
 @dataclass(frozen=True)

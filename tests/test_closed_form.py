@@ -31,7 +31,6 @@ from coalesce import (
 )
 from coalesce import closed_form
 from coalesce.closed_form import _lossless_condition
-from coalesce.spectrum import find_peaks, peak_halfwidth
 
 TWO_PI = 2.0 * math.pi
 
@@ -385,14 +384,6 @@ class TestBisect:
                 pass   # the roots found before giving up are still compared
 
         self.assert_every_call_matches_scipy(run)
-
-    def test_same_root_as_scipy_in_peak_halfwidth(self):
-        for zeta, zm in ((-10.0, -50.0), (-10.0, coalescence_threshold(-10.0)),
-                         (-40.0, -700.0)):
-            system = CavitySystem.with_middle(zeta, zm)
-            peak = find_peaks(system, 5.9, 6.4)[-1]
-            self.assert_every_call_matches_scipy(
-                lambda: peak_halfwidth(system, peak))
 
     def assert_every_call_matches_scipy(self, run):
         reference, ours, pairs = scipy_bisect(), closed_form.bisect, []

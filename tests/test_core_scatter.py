@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from coalesce import (
     CavitySystem,
     InvalidParameterError,
+    bare_linewidth,
     bare_resonance,
     effective_polarizability,
     maximize_stack_polarizability,
@@ -21,6 +22,8 @@ from coalesce import (
     system_matrix,
     transmission,
 )
+from coalesce import core_scatter
+from coalesce.core_scatter import s_derivatives
 
 zetas = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 wavenumbers = st.floats(min_value=0.1, max_value=30.0, allow_nan=False)
@@ -359,3 +362,77 @@ class TestKernelAgainstPlainProduct:
             assert_matches_plain(stack_matrix(elements, k), plain, err)
             zeta_eff = effective_polarizability(elements, k)
             assert np.all(np.abs(zeta_eff - np.abs(plain[..., 1, 0])) <= err)
+
+
+class TestBlockedKernel:
+    """Array k runs in blocks of ``_BLOCK`` points; blocks change no bit."""
+
+    def test_slices_across_block_borders(self):
+        system = CavitySystem.with_middle(-10.0, -196.6, 0.01)
+        n = core_scatter._BLOCK
+        ks = np.linspace(5.0, 7.5, 3 * n + 5)
+        whole = transmission(system, ks)
+        for length in (n - 1, n, n + 1):
+            for start in (0, 1, n - 3, n - 1, n, 2 * n - length // 2):
+                part = slice(start, start + length)
+                assert np.array_equal(whole[part],
+                                      transmission(system, ks[part]))
+
+    def test_shape_kept(self):
+        ks = np.linspace(2.0, 4.0, 12).reshape(3, 4)[:, ::2]
+        out = transmission(CavitySystem.empty(-10.0), ks)
+        assert out.shape == (3, 2)
+        assert np.array_equal(out.ravel(), transmission(
+            CavitySystem.empty(-10.0), ks.ravel()))
+        assert transmission(CavitySystem.empty(-10.0), np.array([])).size == 0
+
+
+def plain_s(zeta_end, zeta_m, x, ks):
+    hops = [(0.5 + x, zeta_m), (0.5 - x, zeta_end)]
+    return np.abs(plain_product(chain(zeta_end, hops, ks))[..., 1, 0]) ** 2
+
+
+class TestSDerivatives:
+    """s = |m21|^2 and its k-derivatives against the plain 2x2 product.
+
+    The reference differentiates the plain product numerically: central
+    differences at steps h and h/2, Richardson-extrapolated (error
+    O(h^4)), with h a twentieth of the scale w on which s varies: the
+    linewidth kappa, or 0.1 for weak mirrors, whose phases e^{ikd} vary
+    on a scale of 1.  Each derivative must agree to 1e-6 of its natural
+    scale, the sum of |s|, |s'| w and |s''| w^2 over w to its order.
+    """
+
+    @given(st.one_of(st.just(-100.0), st.floats(-100.0, -0.3)),
+           st.floats(-1000.0, 0.0), st.floats(-0.24, 0.24),
+           st.floats(0.5, 20.0))
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    def test_against_richardson_differences(self, zeta, zeta_m, x, k):
+        system = CavitySystem.with_middle(zeta, zeta_m, x)
+        s, ds, d2s = s_derivatives(system, k)
+        w = min(bare_linewidth(zeta), 0.1)
+        h = w / 20.0
+        grid = k + np.array([-h, -0.5 * h, 0.0, 0.5 * h, h])
+        sm, smh, s0, sph, sp = plain_s(zeta, zeta_m, x, grid)
+        d1 = [(sp - sm) / (2 * h), (sph - smh) / h]
+        d2 = [(sp - 2 * s0 + sm) / h ** 2, 4 * (sph - 2 * s0 + smh) / h ** 2]
+        d1 = (4 * d1[1] - d1[0]) / 3
+        d2 = (4 * d2[1] - d2[0]) / 3
+        scale = abs(s) + abs(ds) * w + abs(d2s) * w ** 2
+        assert abs(s - s0) <= 1e-9 * scale
+        assert abs(ds - d1) <= 1e-6 * scale / w
+        assert abs(d2s - d2) <= 1e-6 * scale / w ** 2
+
+    @given(st.floats(-50.0, -0.3), st.floats(-500.0, 0.0),
+           st.floats(-0.24, 0.24), wavenumbers)
+    @settings(derandomize=True, max_examples=100)
+    def test_s_is_what_transmission_inverts(self, zeta, zeta_m, x, k):
+        system = CavitySystem.with_middle(zeta, zeta_m, x)
+        assert transmission(system, k) == 1.0 / (1.0 + s_derivatives(
+            system, k)[0])
+
+    def test_scalar_k_only(self):
+        with pytest.raises(InvalidParameterError):
+            s_derivatives(CavitySystem.empty(-10.0), np.array([3.0, 3.1]))
+        with pytest.raises(InvalidParameterError):
+            s_derivatives(CavitySystem.empty(-10.0), -1.0)

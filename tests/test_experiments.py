@@ -21,6 +21,7 @@ from coalesce import (
     run_fig2_resonant_transmission,
     run_fig3_mode_pulling,
     run_threshold_sweep,
+    transmission,
     tunneling_rate,
 )
 from coalesce import spectrum
@@ -176,6 +177,21 @@ class TestTrackResonance:
         # tracking window as the middle element moves
         with pytest.raises(PairIdentificationError):
             track_resonance(-0.3, -0.59, np.linspace(-0.05, 0.05, 9))
+
+    def test_fig2_work(self, monkeypatch):
+        # one grid search per displacement (no waypoints at zeta = -10)
+        # over windows sized by kappa and the tunneling rate
+        grids = []
+
+        def counted(system, k):
+            if np.ndim(k):
+                grids.append(np.size(k))
+            return transmission(system, k)
+
+        monkeypatch.setattr(spectrum, "transmission", counted)
+        run_fig2_resonant_transmission()
+        assert len(grids) == 603
+        assert sum(grids) <= 500_000
 
 
 class TestThresholdSweep:

@@ -23,11 +23,13 @@ from coalesce import (
     peak_positions,
     scan_transmission,
     track,
+    transmission,
     tunneling_rate,
     pair_center,
 )
-from coalesce import spectrum
-from coalesce.spectrum import _grid_maxima
+from coalesce import closed_form, spectrum
+from coalesce.cli import main
+from coalesce.spectrum import _grid_maxima, _newton
 
 TWO_PI = 2.0 * math.pi
 SYS_EMPTY = CavitySystem.empty(-10.0)
@@ -149,6 +151,116 @@ class TestPeakHalfwidth:
         peaks = find_peaks(SYS_EMPTY, 2.9, 3.2)
         with pytest.raises(EdgeTruncationError):
             peak_halfwidth(SYS_EMPTY, peaks[0], max_offset=1e-4)
+
+    def test_matches_bisection_of_half_level(self):
+        # each side: the first sample below half on a kappa/100 walk out
+        # of the peak, then bisection of T - T_peak/2 to 1e-13
+        for zeta, zm in ((-10.0, -50.0), (-10.0, coalescence_threshold(-10.0)),
+                         (-40.0, -700.0)):
+            system = CavitySystem.with_middle(zeta, zm)
+            peak = find_peaks(system, 5.9, 6.4)[-1]
+            step = bare_linewidth(zeta) / 100.0
+
+            def excess(k):
+                return transmission(system, k) - 0.5 * peak.T_peak
+
+            sides = []
+            for sign in (-1.0, 1.0):
+                n = 1
+                while excess(peak.k_peak + sign * n * step) > 0.0:
+                    n += 1
+                ends = sorted(peak.k_peak + sign * m * step for m in (n - 1, n))
+                root = closed_form.bisect(excess, *ends, xtol=1e-13)
+                sides.append(abs(root - peak.k_peak))
+            assert peak_halfwidth(system, peak) == pytest.approx(
+                0.5 * sum(sides), abs=1e-10)
+
+
+def double_well(x):
+    # s = (x^2 - 1)^2: minima at x = -1 and 1, a maximum at x = 0
+    return 4.0 * x ** 3 - 4.0 * x, 12.0 * x ** 2 - 4.0
+
+
+class TestNewton:
+    def test_converges_on_the_minimum(self):
+        assert _newton(double_well, -1.5, -1.2, -0.5, 1e-12) == pytest.approx(
+            -1.0, abs=1e-12)
+
+    def test_never_stops_where_the_slope_is_not_positive(self):
+        # x = 0 zeroes s' but maximizes s (s'' = -4); a Newton step of 0
+        # there must not count as converged
+        assert _newton(double_well, -1.5, 0.0, 0.5, 1e-12) == pytest.approx(
+            -1.0, abs=1e-12)
+
+    def test_root_beyond_the_bracket_is_not_followed(self):
+        # the first Newton step lands on the root at 1.2, outside (0, 1)
+        with pytest.raises(NotBracketedError, match="lost its bracket"):
+            _newton(lambda x: (x - 1.2, 1.0), 0.0, 0.99, 1.0, 1e-10)
+
+    def test_lost_bracket_raises(self):
+        # s' > 0 everywhere: the bracket collapses on the unevaluated end
+        with pytest.raises(NotBracketedError, match="lost its bracket"):
+            _newton(lambda x: (1.0, -1.0), 1.0, 1.5, 2.0, 1e-10)
+
+    def test_step_cap_raises(self):
+        with pytest.raises(NotBracketedError, match="did not converge"):
+            _newton(lambda x: (math.nan, 1.0), 0.0, 0.5, 1.0, 1e-10)
+
+
+class TestRefinementFailsLoudly:
+    """A derivative that never shows the sign change the grid promised."""
+
+    @staticmethod
+    def no_minimum(system, k):
+        # s' keeps one sign and s'' <= 0: no Newton step, no sign change;
+        # s = 5 stays above the half level of any peak
+        return 5.0, 1.0, -1.0
+
+    def test_find_peaks(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "s_derivatives", self.no_minimum)
+        with pytest.raises(NotBracketedError):
+            find_peaks(SYS_EMPTY, 2.9, 3.2)
+
+    def test_peak_halfwidth(self, monkeypatch):
+        peak = find_peaks(SYS_EMPTY, 2.9, 3.2)[0]
+        monkeypatch.setattr(spectrum, "s_derivatives", self.no_minimum)
+        with pytest.raises(NotBracketedError):
+            peak_halfwidth(SYS_EMPTY, peak)
+
+    def test_cli_token(self, monkeypatch, capsys):
+        monkeypatch.setattr(spectrum, "s_derivatives", self.no_minimum)
+        code = main(["peaks", "--zeta=-10", "--kmin", "2.9", "--kmax", "3.2"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error[not-bracketed]:")
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("zeta", [-8.0, -10.0, -12.0])
+    @pytest.mark.parametrize("fraction", [0.3, 0.6, 0.9])
+    def test_kernel_calls_per_refined_peak(self, zeta, fraction, monkeypatch):
+        # the pair near 2 pi below threshold, in a window 6 kappa wider
+        # than the pair on each side
+        zm = fraction * coalescence_threshold(zeta)
+        pair = peak_positions(zeta, zm)
+        lo, hi = sorted((pair.k_even, pair.k_odd))
+        margin = 6.0 * bare_linewidth(zeta)
+        calls = []
+
+        def counted(fn):
+            def wrapper(system, k):
+                calls.append(np.ndim(k) == 0)
+                return fn(system, k)
+            return wrapper
+
+        monkeypatch.setattr(spectrum, "transmission",
+                            counted(spectrum.transmission))
+        monkeypatch.setattr(spectrum, "s_derivatives",
+                            counted(spectrum.s_derivatives))
+        peaks = find_peaks(CavitySystem.with_middle(zeta, zm), lo - margin,
+                           hi + margin)
+        assert len(peaks) == 2
+        assert calls.count(False) == 1   # one grid
+        assert sum(calls) <= 8 * len(peaks)
 
 
 def window(lo, hi):
