@@ -9,6 +9,11 @@ atomically.  Effective parameters merge flags > config file > defaults.
 
 Exit codes: 0 success, 2 argument/config parse error, 3 domain error
 (reported on stderr as one line 'error[<token>]: <message>').
+
+Importing this module loads no numpy.  `splitting`, `report`,
+`threshold` (without --numeric), `sensitivity` and --version run on the
+closed forms and the standard library alone; the other subcommands load
+numpy and the numeric modules when they start.
 """
 
 from __future__ import annotations
@@ -22,11 +27,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import __version__, closed_form, experiments, spectrum, two_mode
-from .core_scatter import (CavitySystem, effective_polarizability,
-                           maximize_stack_polarizability)
+from . import __version__, closed_form, two_mode
 from .errors import (
     AboveThresholdError,
     CoalescenceError,
@@ -39,6 +40,11 @@ from .errors import (
 )
 
 __all__ = ["RunConfig", "load_config", "main", "run"]
+
+# the numpy-backed names the array subcommands use, bound by
+# _load_arrays() on first use
+spectrum = experiments = None
+CavitySystem = effective_polarizability = maximize_stack_polarizability = None
 
 # Arguments argparse must read as (negative) numbers rather than flags; its
 # default matcher misses exponent notation such as -1e3 before Python 3.13.
@@ -189,13 +195,27 @@ _OPTIONS = {
 }
 
 
-# the `figures` targets
+# the `figures` targets: their pipelines in `experiments`
 _FIGURES = {
-    "fig1": experiments.run_fig1_spectra,
-    "fig2": experiments.run_fig2_resonant_transmission,
-    "fig3": experiments.run_fig3_mode_pulling,
-    "threshold-sweep": experiments.run_threshold_sweep,
+    "fig1": "run_fig1_spectra",
+    "fig2": "run_fig2_resonant_transmission",
+    "fig3": "run_fig3_mode_pulling",
+    "threshold-sweep": "run_threshold_sweep",
 }
+
+
+def _load_arrays():
+    """Import numpy's users into the names above, once.
+
+    Module names rather than locals, so that whatever rebinds them
+    afterwards (a mock, a tracer) is what the subcommands call.
+    """
+    global spectrum, experiments, CavitySystem, effective_polarizability
+    global maximize_stack_polarizability
+    if spectrum is None:
+        from . import experiments, spectrum
+        from .core_scatter import (CavitySystem, effective_polarizability,
+                                   maximize_stack_polarizability)
 
 
 def _build_parser():
@@ -262,7 +282,7 @@ _CSV_BLOCK = 1 << 16
 # the longest "%.11e" of a float: -d.ddddddddddde-ddd
 _FLOAT_WIDTH = 19
 # 10**k is a float64 without rounding for k <= 22
-_POW10 = np.array([float(10 ** k) for k in range(23)])
+_POW10 = tuple(float(10 ** k) for k in range(23))
 _LOG10_2 = math.log10(2.0)
 
 
@@ -272,8 +292,11 @@ def _scaled(a, shift):
     One of the two table entries is 1, so the product or the quotient
     is exact.  Larger |shift| reads a clipped (wrong) power.
     """
-    return (a * _POW10[np.clip(shift, 0, 22)]
-            / _POW10[np.clip(-shift, 0, 22)])
+    import numpy as np
+
+    pow10 = np.array(_POW10)
+    return (a * pow10[np.clip(shift, 0, 22)]
+            / pow10[np.clip(-shift, 0, 22)])
 
 
 def _float_cells(x):
@@ -290,6 +313,8 @@ def _float_cells(x):
     beyond the table are formatted by _fmt instead, so every cell is
     exact by construction.
     """
+    import numpy as np
+
     a = np.abs(x)
     fast = (a > 0.0) & (a < np.inf)
     a[~fast] = 1.0                    # keeps the arithmetic below finite
@@ -332,6 +357,8 @@ def _float_cells(x):
 
 def _text_cells(texts):
     """A uint8 matrix of encoded cell strings and the mask of its bytes."""
+    import numpy as np
+
     raw = [t.encode() for t in texts]
     width = max(map(len, raw), default=0)
     cells = np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw),
@@ -342,8 +369,9 @@ def _text_cells(texts):
 
 
 def _all_floats(values):
-    if isinstance(values, np.ndarray):
-        return values.dtype == np.float64
+    dtype = getattr(values, "dtype", None)   # a numpy array's
+    if dtype is not None:
+        return dtype == "float64"
     return all(isinstance(v, float) for v in values)
 
 
@@ -352,6 +380,8 @@ def _csv_rows(columns, rows):
 
     A short column's missing cells are empty.
     """
+    import numpy as np
+
     width = sum(cells.shape[1] + 1 for cells, _ in columns)
     block = np.empty((rows, width), np.uint8)
     used = np.zeros((rows, width), bool)
@@ -374,9 +404,30 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
+    if hasattr(value, "tolist"):   # a numpy array or scalar
         return _jsonable(value.tolist())
     return value
+
+
+def _csv_head(params, names, annotations):
+    """The metadata block and the header line of a CSV document."""
+    lines = [f"# {key} = {json.dumps(_jsonable(val))}"
+             for key, val in params.items()]
+    for name, values in (annotations or {}).items():
+        lines.append(f"# annotation {name} = "
+                     f"[{', '.join(_fmt(v) for v in values)}]")
+    lines.append(",".join(names))
+    return "\n".join(lines) + "\n"
+
+
+def _render_record(params, record):
+    """The CSV document of one record: its header and one row of _fmt cells.
+
+    _fmt is the rule _float_cells reproduces byte for byte, so a record
+    reads as the one-row columns would.
+    """
+    return (_csv_head(params, record, None)
+            + ",".join(map(_fmt, record.values())) + "\n").encode()
 
 
 def _render_csv(params, columns, annotations):
@@ -386,13 +437,9 @@ def _render_csv(params, columns, annotations):
     columns (all values float) are formatted by _float_cells, the others
     cell by cell with _fmt.
     """
-    lines = [f"# {key} = {json.dumps(_jsonable(val))}"
-             for key, val in params.items()]
-    for name, values in (annotations or {}).items():
-        lines.append(f"# annotation {name} = "
-                     f"[{', '.join(_fmt(v) for v in values)}]")
-    lines.append(",".join(columns))
-    yield ("\n".join(lines) + "\n").encode()
+    import numpy as np
+
+    yield _csv_head(params, columns, annotations).encode()
     floats = [_all_floats(values) for values in columns.values()]
     length = max(map(len, columns.values()), default=0)
     for start in range(0, length, _CSV_BLOCK):
@@ -433,9 +480,9 @@ def _emit(values, params, columns=None, record=None, annotations=None):
         if annotations:
             data["annotations"] = dict(annotations)
         chunks = [_render_json(params, data).encode()]
+    elif columns is None:
+        chunks = [_render_record(params, record)]
     else:
-        if columns is None:
-            columns = {k: [v] for k, v in record.items()}
         chunks = _render_csv(params, columns, annotations)
     _write(values["output"], chunks)
 
@@ -458,6 +505,7 @@ def _system_from(values):
 
 
 def _cmd_spectrum(values):
+    _load_arrays()
     ks, ts = spectrum.scan_transmission(_system_from(values),
                                         values["kmin"], values["kmax"],
                                         values["points"])
@@ -465,6 +513,7 @@ def _cmd_spectrum(values):
 
 
 def _cmd_peaks(values):
+    _load_arrays()
     system = _system_from(values)
     peaks = spectrum.find_peaks(system, values["kmin"], values["kmax"],
                                 grid_per_kappa=values["grid_per_kappa"],
@@ -491,6 +540,7 @@ def _cmd_threshold(values):
     star = closed_form.coalescence_threshold(values["zeta"])
     record = {"zeta_m_star": star}
     if values["numeric"]:
+        _load_arrays()
         lo = values["zm_lo"] if values["zm_lo"] is not None else 0.75 * star
         hi = values["zm_hi"] if values["zm_hi"] is not None else 1.25 * star
         record["zeta_m_merge"] = spectrum.find_merge_point(values["zeta"],
@@ -499,6 +549,9 @@ def _cmd_threshold(values):
 
 
 def _cmd_sweep_x(values):
+    import numpy as np
+
+    _load_arrays()
     xs = np.linspace(values["xmin"], values["xmax"], values["xpoints"])
     tracked = experiments.track_resonance(values["zeta"], values["zeta_m"],
                                           xs, values["pair_index"])
@@ -515,6 +568,9 @@ def _cmd_sweep_x(values):
 
 
 def _cmd_branches(values):
+    import numpy as np
+
+    _load_arrays()
     xs = np.linspace(values["xmin"], values["xmax"], values["xpoints"])
     if (values["kmin"] is None) != (values["kmax"] is None):
         raise InvalidParameterError(
@@ -580,6 +636,7 @@ def _cmd_sensitivity(values):
 
 
 def _cmd_stack(values):
+    _load_arrays()
     n = values["n_layers"]
     z_el = values["zeta_element"]
     if values["spacing"] is not None:
@@ -630,7 +687,9 @@ def main(argv=None) -> int:
         params = _params_echo(args.subcommand, values)
         if args.subcommand == "figures":
             params["figure"] = args.figure
-            dataset = _FIGURES[args.figure](zeta=values["zeta"])
+            _load_arrays()
+            dataset = getattr(experiments, _FIGURES[args.figure])(
+                zeta=values["zeta"])
             params.update(dataset.params)
             _emit(values, params, columns=dataset.columns,
                   annotations=dataset.annotations)

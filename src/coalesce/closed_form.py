@@ -99,12 +99,21 @@ def bare_resonance(n, zeta):
     return (int(n) - 1) * math.pi + math.acos(z / math.hypot(z, 1.0))
 
 
+def _two_zeta_root(z):
+    """2*z*sqrt(z^2 + 1), refused where it overflows (|z| >~ 9.5e153)."""
+    value = 2.0 * z * math.hypot(z, 1.0)
+    if not math.isfinite(value):
+        raise InvalidParameterError(
+            f"zeta = {z!r} is too strong: 2*zeta*sqrt(zeta^2 + 1) overflows")
+    return value
+
+
 def bare_linewidth(zeta):
     """HWHM kappa = 1/(2 |zeta| sqrt(1+zeta^2)) of a bare resonance."""
     z = _finite("zeta", zeta)
     if z == 0.0:
         raise InvalidParameterError("zeta = 0 has no resonances (no mirrors)")
-    return 1.0 / (2.0 * abs(z) * math.hypot(z, 1.0))
+    return 1.0 / abs(_two_zeta_root(z))
 
 
 def mode_splitting(zeta_m):
@@ -124,8 +133,7 @@ def coalescence_threshold(zeta):
     zeta_m_star = 2*zeta*sqrt(zeta^2 + 1); same sign as zeta and
     |zeta_m_star| >= 2|zeta|.
     """
-    z = _finite("zeta", zeta)
-    return 2.0 * z * math.hypot(z, 1.0)
+    return _two_zeta_root(_finite("zeta", zeta))
 
 
 class PairPeaks(NamedTuple):

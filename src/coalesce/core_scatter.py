@@ -17,8 +17,8 @@ transmission and reflection are
 and a single scatterer has |t|^2 = 1/(1 + zeta^2),
 |r|^2 = zeta^2/(1 + zeta^2).
 
-All matrices produced here are unimodular (det = 1) and carry the
-lossless structure m11 = conj(m22), m12 = conj(m21), which implies
+Every such matrix is unimodular (det = 1) and carries the lossless
+structure m11 = conj(m22), m12 = conj(m21), which implies
 |m22|^2 = 1 + |m21|^2 exactly.  Products are therefore carried as the
 pair (a, b) = (m11, m12) alone, as Python complex numbers for a scalar
 wavenumber and numpy arrays otherwise.  :func:`transmission` exploits the
@@ -28,7 +28,7 @@ blocks of ``_BLOCK`` wavenumbers that bound the temporaries and change
 no bit.  :func:`s_derivatives` adds the first two k-derivatives.
 
 Every function is pure; systems are immutable.  For array wavenumbers,
-matrices are stacked along the leading axes.
+(a, b) are arrays of the wavenumbers' shape.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ _BLOCK = 16384   # array wavenumbers per block of the bulk kernel
 
 __all__ = [
     "CavitySystem",
-    "scatter_matrix",
-    "propagation_matrix",
-    "system_matrix",
-    "stack_matrix",
     "transmission",
     "s_derivatives",
     "reflection_amplitude",
@@ -107,37 +103,6 @@ class CavitySystem:
         return cls(zeta_end=zeta_end, elements=((0.5 + x, zeta_m),))
 
 
-def scatter_matrix(zeta):
-    """Transfer matrix of a lossless zero-thickness scatterer.
-
-    M = [[1 + i*zeta, i*zeta], [-i*zeta, 1 - i*zeta]], which has det = 1
-    and reproduces |r|^2 = zeta^2/(1 + zeta^2) for a single element.
-    ``zeta = 0`` gives the identity (transparent element).
-    """
-    z = _finite("zeta", zeta)
-    return np.array([[1.0 + 1j * z, 1j * z],
-                     [-1j * z, 1.0 - 1j * z]])
-
-
-def propagation_matrix(k, d):
-    """Free propagation over a distance ``d``: diag(e^{ikd}, e^{-ikd}).
-
-    ``k`` may be a scalar or an array; the result has shape
-    ``k.shape + (2, 2)``.
-    """
-    d = _finite("d", d)
-    if d < 0:
-        raise InvalidParameterError(f"propagation distance must be >= 0, got {d}")
-    karr = np.asarray(k, dtype=float)
-    if not np.all(np.isfinite(karr)) or not np.all(karr > 0):
-        raise InvalidParameterError("wavenumber k must be finite and > 0")
-    phase = np.exp(1j * karr * d)
-    out = np.zeros(karr.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = phase
-    out[..., 1, 1] = np.conj(phase)
-    return out if karr.shape else out.reshape(2, 2)
-
-
 def _check_k(k):
     """Validated wavenumber: a float for scalar input, else a float array."""
     scalar = isinstance(k, float) or np.ndim(k) == 0  # floats skip np.ndim
@@ -186,32 +151,6 @@ def _stack_ab(elements, k):
     if not hops and isinstance(k, np.ndarray):  # no phase carried k's shape
         a, b = np.full(k.shape, a), np.full(k.shape, b)
     return a, b
-
-
-def _matrix(a, b):
-    """Stack (a, b) into [[a, b], [b*, a*]] along the trailing two axes."""
-    m = np.array([[a, b], [np.conj(b), np.conj(a)]], dtype=complex)
-    return np.moveaxis(m, (0, 1), (-2, -1))
-
-
-def system_matrix(system: CavitySystem, k):
-    """Ordered transfer matrix of the full cavity at wavenumber ``k``.
-
-    Product (right to left): end mirror, propagation to the last element,
-    the interior elements with their gaps, propagation from the left
-    mirror, end mirror.
-    """
-    return _matrix(*_system_ab(system, k))
-
-
-def stack_matrix(elements: Sequence, k):
-    """Transfer matrix of a bare stack (no end mirrors, no outer gaps).
-
-    ``elements`` is a sequence of ``(position, polarizability)`` pairs
-    with strictly increasing positions; only the gaps between elements
-    enter.
-    """
-    return _matrix(*_stack_ab(elements, k))
 
 
 def transmission(system: CavitySystem, k):

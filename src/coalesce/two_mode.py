@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from . import closed_form
 from .errors import (
     DivergentSensitivityError,
@@ -92,6 +90,8 @@ def two_mode_transmission(params: TwoModeParams, probe):
     the interference of the two Lorentzian responses.  ``probe`` may be
     a scalar or an array.
     """
+    import numpy as np
+
     om, dl, kp = params.omega, params.delta, params.kappa
     p = np.asarray(probe, dtype=float)
     lo = kp / (kp + 1j * (om - dl - p))

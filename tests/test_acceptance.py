@@ -15,6 +15,7 @@ import pytest
 
 import coalesce as co
 from coalesce.experiments import track_resonance
+from plain_product import propagation_matrix, scatter_matrix, system_matrix
 
 ZETA = -10.0
 KAPPA = co.bare_linewidth(ZETA)
@@ -230,19 +231,18 @@ def test_criterion_10_property_suites():
         # what determines the attainable determinant accuracy in doubles
         for _ in range(n_cases):
             zeta = rng.uniform(-350.0, 350.0)
-            m = co.scatter_matrix(zeta)
+            m = scatter_matrix(zeta)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(det - 1.0) <= 1e-12
-            p = co.propagation_matrix(rng.uniform(0.5, 25.0),
-                                      rng.uniform(0.0, 1.0))
+            p = propagation_matrix(rng.uniform(0.5, 25.0),
+                                   rng.uniform(0.0, 1.0))
             detp = p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0]
             assert abs(detp - 1.0) <= 1e-12
         for _ in range(n_cases):
             zeta_end = -rng.uniform(0.1, 10.0)
             zeta_m = rng.uniform(-350.0, 350.0)
             k = rng.uniform(0.5, 25.0)
-            m = co.system_matrix(co.CavitySystem.with_middle(zeta_end, zeta_m),
-                                 k)
+            m = system_matrix(co.CavitySystem.with_middle(zeta_end, zeta_m), k)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             growth = ((1.0 + 2.0 * abs(zeta_end)) ** 2
                       * (1.0 + 2.0 * abs(zeta_m)))

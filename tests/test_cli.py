@@ -247,6 +247,28 @@ class TestExitCodes:
         assert err.startswith("error[pair-identification]:")
 
 
+class TestOverflowingMirror:
+    @pytest.mark.parametrize("argv", [
+        ("peaks", "--zeta=-1e200"),
+        ("figures", "fig3", "--zeta=-1e200"),
+        ("report", "--zeta=-1e200", "--zeta-m=-5"),
+        ("sensitivity", "--zeta=-1e200", "--zeta-m=-5"),
+        ("threshold", "--zeta=-1e200"),
+    ])
+    def test_exits_3_invalid_parameter(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error[invalid-parameter]:")
+        assert "overflows" in err
+
+    def test_strong_but_finite_mirror_reports(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--zeta=-1e150",
+                               "--zeta-m=-5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["data"]["zeta_m_star"] == pytest.approx(
+            -2e300, rel=1e-15)
+
+
 class TestNegativeNumbers:
     @pytest.mark.parametrize("text", ["-1e3", "-1E-2", "-.5"])
     def test_both_spellings_parse(self, capsys, text):
@@ -367,6 +389,15 @@ class TestCsvRenderer:
         header = lines.index(",".join(columns))
         assert lines[header + 1:-1] == per_cell_rows(columns)
 
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, -0.0, 5e-324, None, 0, -7, True,
+        False, "peak", np.float64(-0.0), 1.0 / 3.0])
+    def test_record_row_matches_column_kernel(self, value):
+        record = {"v": value, "x": 2.5, "n": None}
+        want = b"".join(cli._render_csv(
+            {"a": 1}, {k: [v] for k, v in record.items()}, None))
+        assert cli._render_record({"a": 1}, record) == want
+
     def test_rows_across_blocks(self):
         # a long column spanning several blocks next to a short one, and
         # fallback cells on both sides of a block border
@@ -416,6 +447,61 @@ class TestCsvRenderer:
         assert_kernel_matches(np.array(
             [float(f"{n}.5e{j}") for j in range(-40, 41)
              for n in rng.integers(10 ** 11, 10 ** 12, 1000).tolist()]))
+
+
+def outputs_in_fresh_interpreter(argvs, block_numpy):
+    """(exit code, stdout) of each argv, run by main() in one new process.
+
+    With ``block_numpy`` the process makes ``import numpy`` fail before
+    it imports the package.
+    """
+    src = os.path.dirname(os.path.dirname(coalesce.__file__))
+    block = "sys.modules['numpy'] = None\n" if block_numpy else ""
+    code = ("import contextlib, io, json, sys\n"
+            + block +
+            "import coalesce.cli\n"
+            "results = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        rc = coalesce.cli.main(argv)\n"
+            "    results.append([rc, out.getvalue()])\n"
+            "print(json.dumps(results))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(r) for r in json.loads(proc.stdout)]
+
+
+class TestRuntimeWithoutNumpy:
+    CLOSED_FORMS = [
+        ["splitting", "--zeta-m=-20"],
+        ["report", "--zeta=-10", "--zeta-m=-150"],
+        ["report", "--zeta=-10", "--zeta-m=-250"],
+        ["threshold", "--zeta=-8.5"],
+        ["sensitivity", "--zeta=-10", "--zeta-m=-150", "--mass=1e-10",
+         "--mech-freq=6e5", "--temperature=4"],
+    ]
+
+    def test_cli_import_leaves_numpy_out(self):
+        src = os.path.dirname(os.path.dirname(coalesce.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, coalesce.cli; print('numpy' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_closed_forms_run_with_numpy_blocked(self):
+        argvs = [argv + [f"--format={fmt}"] for argv in self.CLOSED_FORMS
+                 for fmt in ("csv", "json")] + [["--version"]]
+        blocked = outputs_in_fresh_interpreter(argvs, block_numpy=True)
+        normal = outputs_in_fresh_interpreter(argvs, block_numpy=False)
+        assert blocked == normal
+        assert all(rc == 0 and out for rc, out in blocked)
+        assert blocked[-1] == (0, coalesce.__version__ + "\n")
 
 
 class TestRuntimeWithoutScipy:

@@ -118,6 +118,26 @@ class TestCoalescenceThreshold:
         assert abs(star) >= 2.0 * abs(zeta)
 
 
+class TestOverflowingMirror:
+    """2|zeta| sqrt(zeta^2 + 1) overflows for |zeta| >~ 9.5e153."""
+
+    @pytest.mark.parametrize("zeta", [-1e200, 1e200, -9.6e153, -1.7e308])
+    def test_refused(self, zeta):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            bare_linewidth(zeta)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            coalescence_threshold(zeta)
+        with pytest.raises(InvalidParameterError):
+            report(zeta, -5.0)
+
+    def test_strong_but_finite_mirror_still_works(self):
+        assert bare_linewidth(-1e150) == pytest.approx(5e-301, rel=1e-15)
+        assert coalescence_threshold(-1e150) == pytest.approx(-2e300,
+                                                              rel=1e-15)
+        assert report(-1e150, -5.0).zeta_m_star == coalescence_threshold(
+            -1e150)
+
+
 class TestPeakPositions:
     def test_frozen_cosines(self):
         # direct evaluation of the printed cos(eps) expression

@@ -15,15 +15,17 @@ from coalesce import (
     bare_resonance,
     effective_polarizability,
     maximize_stack_polarizability,
-    propagation_matrix,
     reflection_amplitude,
-    scatter_matrix,
-    stack_matrix,
-    system_matrix,
     transmission,
 )
 from coalesce import core_scatter
 from coalesce.core_scatter import s_derivatives
+from plain_product import (
+    propagation_matrix,
+    scatter_matrix,
+    stack_matrix,
+    system_matrix,
+)
 
 zetas = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 wavenumbers = st.floats(min_value=0.1, max_value=30.0, allow_nan=False)
