@@ -10,8 +10,9 @@ readout sensitivity of a movable middle element.
 Units: c = 1, L = 1 (wavenumber = angular frequency); SI units appear
 only in the membrane enhancement estimates of :mod:`coalesce.two_mode`.
 
-The names below load their module on first access (PEP 562), so that
-importing the package, or only its closed forms, loads no numpy.
+The names below load their module on first access (PEP 562).  No
+module imports numpy at module level; the functions that build arrays
+import it when they run.
 """
 
 import importlib

@@ -12,8 +12,12 @@ Exit codes: 0 success, 2 argument/config parse error, 3 domain error
 
 Importing this module loads no numpy.  `splitting`, `report`,
 `threshold` (without --numeric), `sensitivity` and --version run on the
-closed forms and the standard library alone; the other subcommands load
-numpy and the numeric modules when they start.
+closed forms and the standard library alone.  `figures fig2`, `figures
+fig3`, `sweep-x` and `branches` (without --kmin/--kmax) load the
+numeric modules but no numpy: their tracker is seeded from the closed
+forms, and CSV documents of at most _FMT_ROWS rows are formatted cell by
+cell.  A tracker step that falls back to a grid search, a longer CSV
+document and the other subcommands load numpy.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from .errors import (
 
 __all__ = ["RunConfig", "load_config", "main", "run"]
 
-# the numpy-backed names the array subcommands use, bound by
-# _load_arrays() on first use
+# the numeric modules' names the tracking and array subcommands use,
+# bound by _load_numerics() on first use
 spectrum = experiments = None
 CavitySystem = effective_polarizability = maximize_stack_polarizability = None
 
@@ -204,8 +208,8 @@ _FIGURES = {
 }
 
 
-def _load_arrays():
-    """Import numpy's users into the names above, once.
+def _load_numerics():
+    """Import the numeric modules into the names above, once.
 
     Module names rather than locals, so that whatever rebinds them
     afterwards (a mock, a tracer) is what the subcommands call.
@@ -279,6 +283,12 @@ def _fmt(value):
 
 
 _CSV_BLOCK = 1 << 16
+# the longest document _render_csv formats with _fmt.  Measured on six
+# float columns (2-core Xeon): _fmt takes about 5.7 us a row, the kernel
+# 1.2 ms plus 2.1 us a row once numpy is loaded, and loading numpy about
+# 0.15 s.  At 1024 rows _fmt costs at most ~4 ms more than the kernel,
+# against the 0.15 s that a process without numpy saves.
+_FMT_ROWS = 1024
 # the longest "%.11e" of a float: -d.ddddddddddde-ddd
 _FLOAT_WIDTH = 19
 # 10**k is a float64 without rounding for k <= 22
@@ -433,15 +443,22 @@ def _render_record(params, record):
 def _render_csv(params, columns, annotations):
     """Yield the CSV document as bytes: metadata and header, then rows.
 
-    Rows go out in blocks, so only one block of cells is alive.  Float
-    columns (all values float) are formatted by _float_cells, the others
-    cell by cell with _fmt.
+    A document of at most _FMT_ROWS rows is formatted cell by cell with
+    _fmt, the rule _float_cells reproduces byte for byte, and takes no
+    numpy.  Longer ones go out in blocks, so only one block of cells is
+    alive; float columns (all values float) are formatted by
+    _float_cells, the others cell by cell with _fmt.
     """
+    yield _csv_head(params, columns, annotations).encode()
+    length = max(map(len, columns.values()), default=0)
+    if length <= _FMT_ROWS:
+        cells = [list(map(_fmt, values)) + [""] * (length - len(values))
+                 for values in columns.values()]
+        yield "".join(",".join(row) + "\n" for row in zip(*cells)).encode()
+        return
     import numpy as np
 
-    yield _csv_head(params, columns, annotations).encode()
     floats = [_all_floats(values) for values in columns.values()]
-    length = max(map(len, columns.values()), default=0)
     for start in range(0, length, _CSV_BLOCK):
         rows = min(_CSV_BLOCK, length - start)
         yield _csv_rows(
@@ -505,7 +522,7 @@ def _system_from(values):
 
 
 def _cmd_spectrum(values):
-    _load_arrays()
+    _load_numerics()
     ks, ts = spectrum.scan_transmission(_system_from(values),
                                         values["kmin"], values["kmax"],
                                         values["points"])
@@ -513,7 +530,7 @@ def _cmd_spectrum(values):
 
 
 def _cmd_peaks(values):
-    _load_arrays()
+    _load_numerics()
     system = _system_from(values)
     peaks = spectrum.find_peaks(system, values["kmin"], values["kmax"],
                                 grid_per_kappa=values["grid_per_kappa"],
@@ -540,7 +557,7 @@ def _cmd_threshold(values):
     star = closed_form.coalescence_threshold(values["zeta"])
     record = {"zeta_m_star": star}
     if values["numeric"]:
-        _load_arrays()
+        _load_numerics()
         lo = values["zm_lo"] if values["zm_lo"] is not None else 0.75 * star
         hi = values["zm_hi"] if values["zm_hi"] is not None else 1.25 * star
         record["zeta_m_merge"] = spectrum.find_merge_point(values["zeta"],
@@ -549,18 +566,15 @@ def _cmd_threshold(values):
 
 
 def _cmd_sweep_x(values):
-    import numpy as np
-
-    _load_arrays()
-    xs = np.linspace(values["xmin"], values["xmax"], values["xpoints"])
+    _load_numerics()
+    xs = spectrum.linspace(values["xmin"], values["xmax"], values["xpoints"])
     tracked = experiments.track_resonance(values["zeta"], values["zeta_m"],
                                           xs, values["pair_index"])
     columns = {
-        "x": [float(x) for x in xs],
+        "x": xs,
         "k_res": [p.k_peak for p in tracked],
         "T_num": [p.T_peak for p in tracked],
-        "T_formula": [closed_form.resonant_transmission(float(x),
-                                                        values["zeta_m"],
+        "T_formula": [closed_form.resonant_transmission(x, values["zeta_m"],
                                                         p.k_peak)
                       for x, p in zip(xs, tracked)],
     }
@@ -568,24 +582,25 @@ def _cmd_sweep_x(values):
 
 
 def _cmd_branches(values):
-    import numpy as np
-
-    _load_arrays()
-    xs = np.linspace(values["xmin"], values["xmax"], values["xpoints"])
+    _load_numerics()
+    xs = spectrum.linspace(values["xmin"], values["xmax"], values["xpoints"])
     if (values["kmin"] is None) != (values["kmax"] is None):
         raise InvalidParameterError(
             "--kmin and --kmax must be given together (or neither, for "
             "the automatic window)")
+    seeds = None
     if values["kmin"] is None:
         lo, hi = spectrum.branch_window(values["zeta"], values["zeta_m"], xs,
                                         values["pair_index"])
+        pair = closed_form.peak_positions(values["zeta"], values["zeta_m"],
+                                          values["pair_index"])
+        seeds = (pair.k_even, pair.k_odd)
     else:
         lo, hi = values["kmin"], values["kmax"]
     tracked = spectrum.track(values["zeta"], values["zeta_m"], xs,
-                             0.5 * (lo + hi), 0.5 * (hi - lo))
+                             0.5 * (lo + hi), 0.5 * (hi - lo), seeds=seeds)
     # a merged pair has one peak and no row
-    rows = [(float(x), pair) for x, pair in zip(xs, tracked)
-            if len(pair) == 2]
+    rows = [(x, pair) for x, pair in zip(xs, tracked) if len(pair) == 2]
     columns = {
         "x": [x for x, _ in rows],
         "k_lower": [lower.k_peak for _, (lower, _) in rows],
@@ -636,7 +651,7 @@ def _cmd_sensitivity(values):
 
 
 def _cmd_stack(values):
-    _load_arrays()
+    _load_numerics()
     n = values["n_layers"]
     z_el = values["zeta_element"]
     if values["spacing"] is not None:
@@ -687,7 +702,7 @@ def main(argv=None) -> int:
         params = _params_echo(args.subcommand, values)
         if args.subcommand == "figures":
             params["figure"] = args.figure
-            _load_arrays()
+            _load_numerics()
             dataset = getattr(experiments, _FIGURES[args.figure])(
                 zeta=values["zeta"])
             params.update(dataset.params)

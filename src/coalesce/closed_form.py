@@ -109,11 +109,20 @@ def _two_zeta_root(z):
 
 
 def bare_linewidth(zeta):
-    """HWHM kappa = 1/(2 |zeta| sqrt(1+zeta^2)) of a bare resonance."""
+    """HWHM kappa = 1/(2 |zeta| sqrt(1+zeta^2)) of a bare resonance.
+
+    Refused where the product or kappa overflows: |zeta| >~ 9.5e153 or
+    |zeta| <~ 2.8e-309.
+    """
     z = _finite("zeta", zeta)
     if z == 0.0:
         raise InvalidParameterError("zeta = 0 has no resonances (no mirrors)")
-    return 1.0 / abs(_two_zeta_root(z))
+    kappa = 1.0 / abs(_two_zeta_root(z))
+    if not math.isfinite(kappa):
+        raise InvalidParameterError(
+            f"zeta = {z!r} is too weak: 1/(2*zeta*sqrt(zeta^2 + 1)) "
+            "overflows")
+    return kappa
 
 
 def mode_splitting(zeta_m):
@@ -313,9 +322,13 @@ def multilayer_threshold(zeta, n_layers):
         raise InvalidParameterError(
             f"layer count must be an integer >= 2, got {n_layers}")
     n = int(n_layers)
+    square = z * z
+    if not math.isfinite(square):
+        raise InvalidParameterError(
+            f"zeta = {z!r} is too strong: zeta^2 overflows")
     # (zeta^2 / 2^(n-2))^(1/n) with the power split so 2^(n-2) never
     # overflows for large layer counts
-    return (z * z) ** (1.0 / n) / 2.0 ** ((n - 2.0) / n)
+    return square ** (1.0 / n) / 2.0 ** ((n - 2.0) / n)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InvalidParameterError, finite as _finite
 
 _BLOCK = 16384   # array wavenumbers per block of the bulk kernel
@@ -104,11 +102,21 @@ class CavitySystem:
 
 
 def _check_k(k):
-    """Validated wavenumber: a float for scalar input, else a float array."""
-    scalar = isinstance(k, float) or np.ndim(k) == 0  # floats skip np.ndim
-    k = float(k) if scalar else np.asarray(k, dtype=float)
-    if not (0.0 < k < math.inf if scalar
-            else np.all((0.0 < k) & (k < math.inf))):
+    """Validated wavenumber: a float for scalar input, else a float array.
+
+    A float k takes no numpy.
+    """
+    if not isinstance(k, float):
+        import numpy as np
+
+        if np.ndim(k):
+            k = np.asarray(k, dtype=float)
+            if not np.all((0.0 < k) & (k < math.inf)):
+                raise InvalidParameterError(
+                    "wavenumber k must be finite and > 0")
+            return k
+    k = float(k)
+    if not 0.0 < k < math.inf:
         raise InvalidParameterError("wavenumber k must be finite and > 0")
     return k
 
@@ -121,7 +129,12 @@ def _compose(zeta_first, hops, k):
     ``k`` runs on Python complex numbers, an array ``k`` on numpy arrays
     of its shape.  Consecutive equal gaps reuse their phase factor.
     """
-    exp = np.exp if isinstance(k, np.ndarray) else cmath.exp
+    if isinstance(k, float):
+        exp = cmath.exp
+    else:
+        import numpy as np
+
+        exp = np.exp
     a, b = 1.0 + 1j * zeta_first, 1j * zeta_first
     e = d_prev = None
     for d, zeta in hops:
@@ -148,7 +161,9 @@ def _stack_ab(elements, k):
     hops = [(q - p, zeta) for (p, _), (q, zeta) in zip(els, els[1:])]
     k = _check_k(k)
     a, b = _compose(els[0][1], hops, k)
-    if not hops and isinstance(k, np.ndarray):  # no phase carried k's shape
+    if not hops and not isinstance(k, float):  # no phase carried k's shape
+        import numpy as np
+
         a, b = np.full(k.shape, a), np.full(k.shape, b)
     return a, b
 
@@ -160,7 +175,9 @@ def transmission(system: CavitySystem, k):
     |m22|^2 = 1 + |m21|^2, so the result never exceeds 1.
     """
     k = _check_k(k)
-    if isinstance(k, np.ndarray) and k.size > _BLOCK:
+    if not isinstance(k, float) and k.size > _BLOCK:
+        import numpy as np
+
         ks = k.ravel()
         return np.concatenate([transmission(system, ks[i:i + _BLOCK]) for i
                                in range(0, ks.size, _BLOCK)]).reshape(k.shape)
@@ -213,6 +230,8 @@ def effective_polarizability(elements: Sequence, k):
     independent of ``k``.  A perfectly reflecting stack (t = 0) would be
     reported as ``inf``; it is unreachable for finite polarizabilities.
     """
+    import numpy as np
+
     _, b = _stack_ab(elements, k)
     val = np.abs(b)
     val = np.where(np.isfinite(val), val, np.inf)
@@ -229,6 +248,8 @@ def maximize_stack_polarizability(zeta, n_elements, k=2.0 * math.pi,
     for the best spacing found.  For one element the spacing is
     irrelevant and (|zeta|, 0.0) is returned.
     """
+    import numpy as np
+
     z = _finite("zeta", zeta)
     n = int(n_elements)
     if n < 1:

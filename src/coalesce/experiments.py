@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Sequence, Tuple
 
-import numpy as np
-
-from . import __version__, closed_form, spectrum, two_mode
+from . import __version__, closed_form, spectrum
 from .core_scatter import CavitySystem
 from .errors import EdgeTruncationError, InvalidParameterError
 
@@ -67,7 +65,7 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
     resonance and its partner one splitting below) as annotations.
     """
     k_min, k_max = float(k_window[0]), float(k_window[1])
-    ks = np.linspace(k_min, k_max, int(n_points))
+    ks = spectrum.linspace(k_min, k_max, int(n_points))
     traces = [_grid(spectrum.scan_transmission(
         CavitySystem.with_middle(zeta, zm), k_min, k_max, int(n_points))[1])
         for zm in zeta_m_list]
@@ -99,41 +97,23 @@ def track_resonance(zeta, zeta_m, x_values: Sequence, pair_index=1):
     The walk starts at the pair member closest to the bare even
     resonance (closed form) and goes outward from x = 0: up through the
     non-negative displacements, then down through the negative ones.
-    The branch slope is bounded by the tunneling rate g, so a step dx
-    moves the peak by at most g dx.  The window half-width w is
-    min(0.35, 8 kappa + 2 g dx) for the widest step of either walk, and
-    steps longer than w / (4 g) get waypoints.  Returns one
+    Each walk is one :func:`~coalesce.spectrum.track` of one member,
+    seeded with that closed-form peak at x = 0.  Returns one
     :class:`~coalesce.spectrum.ResonancePeak` per x, in input order.
     """
     xs = spectrum.displacements(x_values)
     pair = closed_form.peak_positions(zeta, zeta_m, pair_index)
     bare = closed_form.bare_resonance(2 * pair_index, zeta)
     k0 = min((pair.k_even, pair.k_odd), key=lambda k: abs(k - bare))
-    g_est = two_mode.tunneling_rate(zeta_m, k0)
-    orders = (sorted((i for i, x in enumerate(xs) if x >= 0),
-                     key=lambda i: xs[i]),
-              sorted((i for i, x in enumerate(xs) if x < 0),
-                     key=lambda i: -xs[i]))
-    walks = [[0.0] + [xs[i] for i in order] for order in orders]
-    widest = max((abs(b - a) for w in walks for a, b in zip(w, w[1:])),
-                 default=0.0)
-    half_width = min(0.35, 8.0 * closed_form.bare_linewidth(zeta)
-                     + 2.0 * g_est * widest)
-    max_step = 0.25 * half_width / g_est if g_est > 0 else math.inf
     results = [None] * len(xs)
-    for order, walk in zip(orders, walks):
-        path, wanted = [], []
-        for previous, target in zip(walk, walk[1:]):
-            gap = target - previous
-            # no waypoints when max_step is infinite
-            extra = math.ceil(abs(gap) / max_step) - 1
-            path += [previous + gap * j / (extra + 1)
-                     for j in range(1, extra + 1)] + [target]
-            wanted.append(len(path) - 1)
-        tracked = spectrum.track(zeta, zeta_m, path, k0, half_width,
-                                 members=1, grid_per_kappa=25)
-        for i, j in zip(order, wanted):
-            results[i] = tracked[j][0]
+    for order in (sorted((i for i, x in enumerate(xs) if x >= 0),
+                         key=lambda i: xs[i]),
+                  sorted((i for i, x in enumerate(xs) if x < 0),
+                         key=lambda i: -xs[i])):
+        tracked = spectrum.track(zeta, zeta_m, [xs[i] for i in order], k0,
+                                 members=1, grid_per_kappa=25, seeds=(k0,))
+        for i, (peak,) in zip(order, tracked):
+            results[i] = peak
     return results
 
 
@@ -149,7 +129,7 @@ def run_fig2_resonant_transmission(zeta=DEFAULT_ZETA,
     wavenumber.
     """
     if x_grid is None:
-        x_grid = np.linspace(-0.1, 0.1, 201)
+        x_grid = spectrum.linspace(-0.1, 0.1, 201)
     xs = spectrum.displacements(x_grid)
     columns = {"x": _grid(xs)}
     for i, zm in enumerate(zeta_m_list):
@@ -176,16 +156,19 @@ def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=FIG3_ZETA_M,
     the perfect-mirror eigenmode branches, all against displacement.
     """
     if x_grid is None:
-        x_grid = np.linspace(-0.003, 0.003, 201)
+        x_grid = spectrum.linspace(-0.003, 0.003, 201)
     xs = [float(x) for x in x_grid]
+    seeds = None
     if k_window is None:
         k_window = spectrum.branch_window(zeta, zeta_m, xs, pair_index)
+        pair = closed_form.peak_positions(zeta, zeta_m, pair_index)
+        seeds = (pair.k_even, pair.k_odd)
     else:
         # the pair must exist, as for the default window
         closed_form.pair_center(zeta, zeta_m, pair_index)
     lo, hi = float(k_window[0]), float(k_window[1])
     tracked = spectrum.track(zeta, zeta_m, xs, 0.5 * (lo + hi),
-                             0.5 * (hi - lo))
+                             0.5 * (hi - lo), seeds=seeds)
     if any(len(pair) != 2 for pair in tracked):
         raise InvalidParameterError(
             "pair merged inside the displacement grid; shrink |x| or "
@@ -217,7 +200,8 @@ def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
     """
     star = closed_form.coalescence_threshold(zeta)
     if zeta_m_grid is None:
-        zeta_m_grid = tuple(star * s for s in np.linspace(0.75, 1.25, 41))
+        zeta_m_grid = tuple(star * s
+                            for s in spectrum.linspace(0.75, 1.25, 41))
     zms = [float(z) for z in zeta_m_grid]
 
     def row(zm):

@@ -9,18 +9,21 @@ grid cell, with the analytic derivatives of
 :func:`core_scatter.s_derivatives`.  Half-widths solve T = T_peak/2 the
 same way.  The grid maxima and their prominences are computed in-house,
 with the rules of SciPy's ``signal.find_peaks``, so numpy is the only
-runtime dependency.  Everything is a pure function of its inputs:
-identical calls return identical results.  :func:`track` is the one
-loop that follows peaks across displacements of the middle element.
+runtime dependency; the grid functions import it when they run.
+Everything is a pure function of its inputs: identical calls return
+identical results.  :func:`track` is the one loop that follows peaks
+across displacements of the middle element.  It seeds each step from
+the closed forms and the previous peaks and refines the seeds by the
+same Newton steps, without a grid; only a step whose seeded refinement
+fails a check searches a grid window.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
-
-import numpy as np
 
 from . import closed_form, two_mode
 from .core_scatter import CavitySystem, s_derivatives, transmission
@@ -33,6 +36,7 @@ from .errors import (
 
 __all__ = [
     "ResonancePeak",
+    "linspace",
     "scan_transmission",
     "find_peaks",
     "peak_halfwidth",
@@ -63,8 +67,35 @@ def _window(k_min, k_max):
     return k_min, k_max
 
 
+def linspace(start, stop, num):
+    """``num`` evenly spaced floats from ``start`` to ``stop``, as a list.
+
+    Bit for bit the values of ``numpy.linspace(start, stop, num)``:
+    start + i*step with step = (stop - start)/(num - 1), the last point
+    set to ``stop``; where step underflows to 0, start + (i/(num - 1))
+    * (stop - start).  Raises :class:`InvalidParameterError` for
+    num < 0.
+    """
+    start, stop, num = float(start), float(stop), operator.index(num)
+    if num < 0:
+        raise InvalidParameterError(f"need num >= 0 points, got {num}")
+    delta = stop - start
+    div = num - 1
+    if div <= 0:
+        return [i * delta + start for i in range(num)]
+    step = delta / div
+    if step == 0.0:
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
+    return values
+
+
 def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
     """Uniformly sample T(k) on [k_min, k_max]: arrays ``(ks, ts)``."""
+    import numpy as np
+
     k_min, k_max = _window(k_min, k_max)
     n = int(n_points)
     if n < 2:
@@ -86,6 +117,8 @@ def _grid_maxima(ts, prominence):
     or the array end, and a maximum is kept when it stands at least
     ``prominence`` above the higher of its two bases.
     """
+    import numpy as np
+
     x = np.asarray(ts, dtype=float)
     up, down = x[1:] > x[:-1], x[1:] < x[:-1]
     # a rise ends at x[left]; the top runs over equal samples to x[right]
@@ -161,6 +194,8 @@ def _newton(f, lo, x, hi, tol):
 
 
 def _grid_for(system, k_min, k_max, grid_per_kappa):
+    import numpy as np
+
     if system.zeta_end == 0.0:
         raise InvalidParameterError(
             "peak search needs reflective end mirrors (zeta_end != 0)")
@@ -267,34 +302,128 @@ def displacements(x_values: Sequence):
     return xs
 
 
-def track(zeta, zeta_m, x_values: Sequence, center, half_width, members=2,
-          grid_per_kappa=50, refine_tol=1e-10, prominence=1e-9):
+def _descend(system, seed, reach, tol):
+    """The minimum of s = 1/T - 1 downhill of ``seed``, or None.
+
+    Newton steps on s' walk downhill from the seed, each carried a
+    quarter of its length (at least ``tol``) past its target, until s'
+    changes sign; that sign change brackets the minimum, which
+    :func:`_newton` refines to ``tol``.  A bisection kept on
+    s'(lo) < 0 < s'(hi) ends on a minimum of s, never on the saddle
+    between two peaks.  Returns None when the walk meets a concave s
+    (s'' <= 0) or a step that is not finite, leaves ``seed +- reach``,
+    or takes 16 steps.
+    """
+    def f(k):
+        return s_derivatives(system, k)[1:]
+
+    near = seed
+    slope, curve = f(near)
+    downhill = 1.0 if slope < 0.0 else -1.0
+    for _ in range(16):
+        if slope == 0.0:
+            return near
+        step = -slope / curve if curve > 0.0 else math.nan
+        if not math.isfinite(step):
+            return None
+        far = near + step + downhill * max(0.25 * abs(step), tol)
+        far = min(max(far, seed - reach), seed + reach)
+        value, far_curve = f(far)
+        if downhill * value >= 0.0:
+            lo, hi = sorted((near, far))
+            return _newton(f, lo, min(max(near + step, lo), hi), hi, tol)
+        if abs(far - seed) >= reach:
+            return None
+        near, slope, curve = far, value, far_curve
+    return None
+
+
+def _seeded_step(system, seeds, previous, reach, tol):
+    """The peaks downhill of ``seeds``, or None if any check fails.
+
+    Each refined peak must have s'' > 0, lie within ``reach`` of its
+    previous position, and stay above its lower neighbor by more than
+    2 ``tol``.
+    """
+    kept = []
+    for seed, before in zip(seeds, previous):
+        try:
+            k = _descend(system, seed, reach, tol)
+        except NotBracketedError:
+            return None
+        if k is None or abs(k - before) > reach:
+            return None
+        s, _, curve = s_derivatives(system, k)
+        if not curve > 0.0 or (kept and k - kept[-1].k_peak <= 2.0 * tol):
+            return None
+        kept.append(ResonancePeak(k_peak=k, T_peak=1.0 / (1.0 + s)))
+    return kept
+
+
+def track(zeta, zeta_m, x_values: Sequence, center, half_width=None,
+          members=2, grid_per_kappa=50, refine_tol=1e-10, prominence=1e-9,
+          seeds=None):
     """Follow the ``members`` peaks nearest a moving center across x.
 
     The displacements are checked first, then visited in input order.
-    At each x the window ``center +- half_width`` is searched with
-    :func:`find_peaks`; the ``members`` peaks nearest the center are
-    kept, sorted by k, and the window recenters on their midpoint (the
-    peak itself when one is kept), which locks the tracker on the same
-    peak or pair.  Returns one tuple of :class:`ResonancePeak` per x; it
-    holds a single peak where a pair has merged.  Raises
-    :class:`PairIdentificationError` if the window loses the peaks, or
-    if two kept peaks are more than one free spectral range apart (the
-    window captured the wrong pair).
+    Each step is seeded with a prediction from the previous peaks, and
+    the first from ``seeds``, the members' k at x = 0 from the closed
+    forms: a lone peak stays put, a pair moves along the two-mode
+    branches of :func:`two_mode.branch_frequencies`.  :func:`_descend`
+    refines each seed within reach = min(0.35, 2 kappa + 2 g |dx|) of
+    it, g the tunneling rate at ``center``, and :func:`_seeded_step`
+    checks the result.  When a check fails, when no seeds are given,
+    or after a step that kept fewer than ``members`` peaks, the step
+    falls back to :func:`find_peaks` over ``center +- half_width``
+    (``half_width`` None: min(0.35, 8 kappa + 2 g |dx|)) and keeps the
+    ``members`` peaks nearest the center.  These window searches are
+    the tracker's only calls to :func:`find_peaks`, so counting those
+    counts the fallbacks.  Either way the peaks are sorted by k and
+    the center moves to their midpoint (the peak itself when one is
+    kept).
+
+    Returns one tuple of :class:`ResonancePeak` per x; it holds a single
+    peak where a pair has merged.  Raises
+    :class:`PairIdentificationError` if a window search loses the peaks,
+    or if two kept peaks are more than one free spectral range apart
+    (the window captured the wrong pair).
     """
     xs = displacements(x_values)
-    center, half_width = float(center), float(half_width)
+    center = float(center)
+    kappa = closed_form.bare_linewidth(zeta)
+    g_m = two_mode.tunneling_rate(zeta_m, center)
+    model = two_mode.TwoModeParams(
+        omega=center, delta=0.5 * closed_form.mode_splitting(zeta_m),
+        kappa=kappa, g_m=g_m)
+    previous = None if seeds is None else sorted(map(float, seeds))
+    before = 0.0
     out = []
     for x in xs:
         system = CavitySystem.with_middle(zeta, zeta_m, x)
-        peaks = find_peaks(system, center - half_width, center + half_width,
-                           grid_per_kappa=grid_per_kappa,
-                           refine_tol=refine_tol, prominence=prominence)
-        if not peaks:
-            raise PairIdentificationError(
-                f"tracking window lost the peak at x = {x}")
-        kept = sorted(peaks, key=lambda p: abs(p.k_peak - center))[:members]
-        kept.sort(key=lambda p: p.k_peak)
+        motion = 2.0 * g_m * abs(x - before)
+        kept = None
+        if previous is not None and len(previous) == members:
+            guesses = previous
+            if members == 2:
+                branches = (two_mode.branch_frequencies(model, before),
+                            two_mode.branch_frequencies(model, x))
+                if None not in branches:
+                    guesses = [k + new - old for k, old, new
+                               in zip(previous, *branches)]
+            kept = _seeded_step(system, guesses, previous,
+                                min(0.35, 2.0 * kappa + motion), refine_tol)
+        if kept is None:
+            half = (min(0.35, 8.0 * kappa + motion) if half_width is None
+                    else float(half_width))
+            peaks = find_peaks(system, center - half, center + half,
+                               grid_per_kappa=grid_per_kappa,
+                               refine_tol=refine_tol, prominence=prominence)
+            if not peaks:
+                raise PairIdentificationError(
+                    f"tracking window lost the peak at x = {x}")
+            kept = sorted(peaks,
+                          key=lambda p: abs(p.k_peak - center))[:members]
+            kept.sort(key=lambda p: p.k_peak)
         gap = kept[-1].k_peak - kept[0].k_peak
         if gap > math.pi * (1.0 + 1e-9):
             raise PairIdentificationError(
@@ -302,6 +431,7 @@ def track(zeta, zeta_m, x_values: Sequence, center, half_width, members=2,
                 "free spectral range; window captured the wrong pair")
         out.append(tuple(kept))
         center = 0.5 * (kept[0].k_peak + kept[-1].k_peak)
+        previous, before = [p.k_peak for p in kept], x
     return out
 
 

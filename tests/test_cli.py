@@ -268,6 +268,39 @@ class TestOverflowingMirror:
         assert json.loads(out)["data"]["zeta_m_star"] == pytest.approx(
             -2e300, rel=1e-15)
 
+    def test_stack_threshold_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "stack", "--zeta=-1e200",
+                                 "--spacing-grid=101")
+        assert code == 3 and out == ""
+        assert err.startswith("error[invalid-parameter]:")
+        assert "overflows" in err
+
+    def test_strong_but_finite_stack_threshold(self, capsys):
+        code, out, _ = run_cli(capsys, "stack", "--zeta=-1e150",
+                               "--spacing-grid=101", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["data"]["threshold_per_element"] == \
+            pytest.approx(1e150, rel=1e-15)
+
+
+class TestSubnormalMirror:
+    @pytest.mark.parametrize("argv", [
+        ("report", "--zeta=1e-310", "--zeta-m=-5"),
+        ("peaks", "--zeta=1e-310"),
+    ])
+    def test_exits_3_invalid_parameter(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error[invalid-parameter]:")
+        assert "overflows" in err
+
+    def test_weak_but_normal_mirror_reports(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--zeta=1e-300",
+                               "--zeta-m=-5", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["data"]["kappa"] == pytest.approx(5e299,
+                                                                 rel=1e-15)
+
 
 class TestNegativeNumbers:
     @pytest.mark.parametrize("text", ["-1e3", "-1E-2", "-.5"])
@@ -313,9 +346,15 @@ def per_cell_rows(columns):
             for i in range(length)]
 
 
-def render_csv(params, columns, annotations):
-    """The CSV document the renderer streams, as one string."""
-    return b"".join(cli._render_csv(params, columns, annotations)).decode()
+def render_csv(params, columns, annotations, fmt_rows=-1):
+    """The CSV document the renderer streams, as one string.
+
+    With the default ``fmt_rows`` every document, however short, goes
+    through the column kernel.
+    """
+    with mock.patch.object(cli, "_FMT_ROWS", fmt_rows):
+        return b"".join(cli._render_csv(params, columns,
+                                        annotations)).decode()
 
 
 def kernel_strings(values):
@@ -369,7 +408,7 @@ class TestCsvRenderer:
              3e-24, 1e-23, 1e100, -2.5e-100, 1.7976931348623157e308,
              2.2250738585072014e-308]
 
-    @pytest.mark.parametrize("columns", [
+    COLUMNS = [
         {"floats": SPECIAL},
         {"floats": SPECIAL, "short": [1.5, -0.0], "empty": []},
         {"mixed": [None, 3, "peak", 2.5, True, math.nan, -0.0, None],
@@ -381,7 +420,11 @@ class TestCsvRenderer:
         {"edges": EDGES, "array": np.array(SPECIAL + EDGES)},
         {"k": np.linspace(5.8, 6.4, 7), "empty": np.array([]),
          "label": ["a", None, "b"]},
-    ])
+        {"short": [math.nan], "signed": [math.inf, -math.inf, -0.0, 5e-324],
+         "cells": [7, False, True, "peak", None, -12]},
+    ]
+
+    @pytest.mark.parametrize("columns", COLUMNS)
     def test_matches_per_cell_rule(self, columns):
         text = render_csv({"a": 1}, columns, {"m": [0.5, None]})
         lines = text.split("\n")
@@ -389,13 +432,45 @@ class TestCsvRenderer:
         header = lines.index(",".join(columns))
         assert lines[header + 1:-1] == per_cell_rows(columns)
 
+    @pytest.mark.parametrize("columns", COLUMNS)
+    def test_short_document_matches_kernel(self, columns):
+        assert max(map(len, columns.values()), default=0) <= cli._FMT_ROWS
+        assert render_csv({"a": 1}, columns, {"m": [0.5]},
+                          fmt_rows=cli._FMT_ROWS) == render_csv(
+            {"a": 1}, columns, {"m": [0.5]})
+
+    @given(st.lists(cell_values, max_size=30),
+           st.lists(st.one_of(cell_values, st.none(), st.integers(),
+                              st.booleans(), st.text(max_size=3)),
+                    max_size=30))
+    @settings(derandomize=True, max_examples=200)
+    def test_short_documents_drawn_match_kernel(self, floats, mixed):
+        columns = {"floats": floats, "array": np.array(floats),
+                   "mixed": mixed}
+        assert render_csv({}, columns, None, fmt_rows=cli._FMT_ROWS) == \
+            render_csv({}, columns, None)
+
+    def test_only_longer_documents_take_the_kernel(self, monkeypatch):
+        blocks = []
+        kernel = cli._csv_rows
+
+        def counted(columns, rows):
+            blocks.append(rows)
+            return kernel(columns, rows)
+
+        monkeypatch.setattr(cli, "_csv_rows", counted)
+        for rows in (cli._FMT_ROWS, cli._FMT_ROWS + 1):
+            render_csv({}, {"x": [0.5] * rows}, None,
+                       fmt_rows=cli._FMT_ROWS)
+        assert blocks == [cli._FMT_ROWS + 1]
+
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf, -0.0, 5e-324, None, 0, -7, True,
         False, "peak", np.float64(-0.0), 1.0 / 3.0])
     def test_record_row_matches_column_kernel(self, value):
         record = {"v": value, "x": 2.5, "n": None}
-        want = b"".join(cli._render_csv(
-            {"a": 1}, {k: [v] for k, v in record.items()}, None))
+        want = render_csv({"a": 1}, {k: [v] for k, v in record.items()},
+                          None).encode()
         assert cli._render_record({"a": 1}, record) == want
 
     def test_rows_across_blocks(self):
@@ -494,6 +569,10 @@ class TestRuntimeWithoutNumpy:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    # the tracking subcommands at their default grids
+    TRACKERS = [["figures", "fig2"], ["figures", "fig3"], ["sweep-x"],
+                ["branches"]]
+
     def test_closed_forms_run_with_numpy_blocked(self):
         argvs = [argv + [f"--format={fmt}"] for argv in self.CLOSED_FORMS
                  for fmt in ("csv", "json")] + [["--version"]]
@@ -502,6 +581,28 @@ class TestRuntimeWithoutNumpy:
         assert blocked == normal
         assert all(rc == 0 and out for rc, out in blocked)
         assert blocked[-1] == (0, coalesce.__version__ + "\n")
+
+    def test_trackers_run_with_numpy_blocked(self):
+        argvs = [argv + [f"--format={fmt}"] for argv in self.TRACKERS
+                 for fmt in ("csv", "json")]
+        blocked = outputs_in_fresh_interpreter(argvs, block_numpy=True)
+        normal = outputs_in_fresh_interpreter(argvs, block_numpy=False)
+        assert blocked == normal
+        assert all(rc == 0 and out for rc, out in blocked)
+
+    @pytest.mark.parametrize("argv", TRACKERS, ids=" ".join)
+    def test_tracker_leaves_numpy_out(self, argv, tmp_path):
+        src = os.path.dirname(os.path.dirname(coalesce.__file__))
+        code = ("import sys, coalesce.cli\n"
+                "rc = coalesce.cli.main(sys.argv[1:])\n"
+                "print(rc, 'numpy' in sys.modules)\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv,
+             f"--output={tmp_path / 'out.csv'}"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 False\n"
 
 
 class TestRuntimeWithoutScipy:

@@ -137,6 +137,35 @@ class TestOverflowingMirror:
         assert report(-1e150, -5.0).zeta_m_star == coalescence_threshold(
             -1e150)
 
+    @pytest.mark.parametrize("zeta", [-1e200, 1e200, -1.4e154, -1.7e308])
+    def test_multilayer_threshold_refused(self, zeta):
+        # zeta^2 overflows for |zeta| >~ 1.3e154
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            multilayer_threshold(zeta, 2)
+
+    def test_multilayer_threshold_of_strong_mirror(self):
+        assert multilayer_threshold(-1e150, 2) == pytest.approx(1e150,
+                                                                rel=1e-15)
+
+
+class TestSubnormalMirror:
+    """1/(2|zeta| sqrt(zeta^2 + 1)) overflows for |zeta| <~ 2.8e-309."""
+
+    @pytest.mark.parametrize("zeta", [1e-310, -1e-310, 5e-324, 2.7e-309])
+    def test_refused(self, zeta):
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            bare_linewidth(zeta)
+        with pytest.raises(InvalidParameterError):
+            report(zeta, -5.0)
+
+    def test_weak_but_normal_mirror_still_works(self):
+        assert bare_linewidth(1e-300) == pytest.approx(5e299, rel=1e-15)
+        assert report(1e-300, -5.0).kappa == bare_linewidth(1e-300)
+
+    def test_threshold_stays_finite(self):
+        # only the linewidth, a reciprocal, overflows
+        assert coalescence_threshold(1e-310) == 2.0 * 1e-310
+
 
 class TestPeakPositions:
     def test_frozen_cosines(self):

@@ -170,6 +170,10 @@ class TestFig3:
         b = run_fig3_mode_pulling(x_grid=grid)
         assert a == b
 
+    def test_work(self, monkeypatch):
+        # the pair is seeded from the closed forms at x = 0
+        assert searches(monkeypatch, run_fig3_mode_pulling) == ([], [])
+
 
 class TestTrackResonance:
     def test_lost_peak_is_pair_identification(self):
@@ -179,19 +183,29 @@ class TestTrackResonance:
             track_resonance(-0.3, -0.59, np.linspace(-0.05, 0.05, 9))
 
     def test_fig2_work(self, monkeypatch):
-        # one grid search per displacement (no waypoints at zeta = -10)
-        # over windows sized by kappa and the tunneling rate
-        grids = []
+        # every step is seeded from the closed forms: no grid search and
+        # no fallback to a window search
+        assert searches(monkeypatch, run_fig2_resonant_transmission) == (
+            [], [])
 
-        def counted(system, k):
-            if np.ndim(k):
-                grids.append(np.size(k))
-            return transmission(system, k)
 
-        monkeypatch.setattr(spectrum, "transmission", counted)
-        run_fig2_resonant_transmission()
-        assert len(grids) == 603
-        assert sum(grids) <= 500_000
+def searches(monkeypatch, pipeline):
+    """The grid sizes and the window searches (fallbacks) of a run."""
+    grids, fallbacks = [], []
+
+    def counted(system, k):
+        if np.ndim(k):
+            grids.append(np.size(k))
+        return transmission(system, k)
+
+    def searched(*args, **kwargs):
+        fallbacks.append(args)
+        return find_peaks(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "transmission", counted)
+    monkeypatch.setattr(spectrum, "find_peaks", searched)
+    pipeline()
+    return grids, fallbacks
 
 
 class TestThresholdSweep:

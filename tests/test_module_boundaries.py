@@ -1,4 +1,5 @@
-"""No module of the package reads another module's private names."""
+"""Module boundaries: no module of the package reads another module's
+private names, and none imports numpy when it is imported."""
 
 import ast
 import pathlib
@@ -56,4 +57,67 @@ def test_checker_flags_both_forms(tmp_path):
     assert violations(source) == [
         "line 2: from .spectrum import _grid_maxima",
         "line 3: experiments._track",
+    ]
+
+
+def import_time_imports(path):
+    """(line, module) of each import run when ``path`` is imported.
+
+    Those are the import statements outside every function body; class
+    bodies and top-level ``if``/``try`` blocks run at import time.
+    """
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name)
+                             for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((child.lineno, child.module))
+            visit(child)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    return found
+
+
+def numpy_imports(path):
+    return [f"line {line}: {module}"
+            for line, module in import_time_imports(path)
+            if module.split(".")[0] == "numpy"]
+
+
+def test_all_eight_modules_checked():
+    assert len(MODULES) == 8
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_at_import(path):
+    # numpy is imported inside the functions that build arrays
+    assert numpy_imports(path) == []
+
+
+def test_numpy_checker_skips_only_function_bodies(tmp_path):
+    source = tmp_path / "spectrum.py"
+    source.write_text("import math\n"
+                      "import numpy as np\n"
+                      "from numpy import linalg\n"
+                      "try:\n"
+                      "    import numpy.fft\n"
+                      "except ImportError:\n"
+                      "    pass\n"
+                      "class Grid:\n"
+                      "    import numpy\n"
+                      "    def build(self):\n"
+                      "        import numpy as np\n"
+                      "def scan():\n"
+                      "    from numpy import linspace\n", encoding="utf-8")
+    assert numpy_imports(source) == [
+        "line 2: numpy",
+        "line 3: numpy",
+        "line 5: numpy.fft",
+        "line 9: numpy",
     ]

@@ -27,13 +27,49 @@ from coalesce import (
     tunneling_rate,
     pair_center,
 )
-from coalesce import closed_form, spectrum
+from coalesce import cli, closed_form, spectrum
 from coalesce.cli import main
 from coalesce.spectrum import _grid_maxima, _newton
 
 TWO_PI = 2.0 * math.pi
 SYS_EMPTY = CavitySystem.empty(-10.0)
 SYS_PAIR = CavitySystem.with_middle(-10.0, -196.6)
+
+
+def bits(values):
+    """The floats of ``values`` as their exact hex spellings."""
+    return [float(v).hex() for v in values]
+
+
+class TestLinspace:
+    CLI_GRIDS = [(table["xmin"][1], table["xmax"][1], table["xpoints"][1])
+                 for table in (cli._OPTIONS["sweep-x"],
+                               cli._OPTIONS["branches"])]
+
+    @pytest.mark.parametrize("start, stop, num", [
+        (-0.1, 0.1, 201),                      # fig2
+        (-0.003, 0.003, 201),                  # fig3
+        (0.75, 1.25, 41),                      # threshold sweep
+        (1.8, 1.8 + 3.0 * math.pi, 2001),      # fig1
+        *CLI_GRIDS,                            # sweep-x, branches
+        (0.0, 5e-324, 3), (5e-324, 0.0, 4),    # a step that underflows
+        (-0.0, 0.0, 1), (-0.0, -0.0, 1), (0.5, -0.5, 1), (1.0, 1.0, 5),
+        (0.0, 1.0, 0), (0.0, 1.0, 2),
+    ])
+    def test_default_grids_and_edges(self, start, stop, num):
+        assert bits(spectrum.linspace(start, stop, num)) == bits(
+            np.linspace(start, stop, num))
+
+    @given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+           st.integers(0, 500))
+    @settings(derandomize=True, max_examples=500)
+    def test_drawn_grids(self, start, stop, num):
+        assert bits(spectrum.linspace(start, stop, num)) == bits(
+            np.linspace(start, stop, num))
+
+    def test_negative_count_refused(self):
+        with pytest.raises(InvalidParameterError):
+            spectrum.linspace(0.0, 1.0, -1)
 
 
 class TestScanTransmission:
@@ -370,6 +406,81 @@ class TestTrack:
         monkeypatch.setattr(spectrum, "find_peaks", no_search)
         with pytest.raises(InvalidParameterError, match=f"got {x}"):
             track(-10.0, -196.6, [0.0, x], 6.18, 0.05, members=members)
+
+
+class TestSeededTrack:
+    """Seeded steps against the window search they replace."""
+
+    XS = np.linspace(-0.002, 0.002, 21).tolist()
+
+    @staticmethod
+    def pair_seeds(zeta, zeta_m):
+        pair = peak_positions(zeta, zeta_m)
+        return pair.k_even, pair.k_odd
+
+    @pytest.mark.parametrize("zeta_m", [-196.6, -150.0, -20.0])
+    def test_pair_matches_window_search(self, zeta_m, monkeypatch):
+        center, half = window(*spectrum.branch_window(-10.0, zeta_m,
+                                                      self.XS))
+        seeded = track(-10.0, zeta_m, self.XS, center, half,
+                       seeds=self.pair_seeds(-10.0, zeta_m))
+        monkeypatch.setattr(spectrum, "_seeded_step", lambda *a: None)
+        searched = track(-10.0, zeta_m, self.XS, center, half)
+        for x, got, want in zip(self.XS, seeded, searched):
+            assert len(got) == len(want) == 2
+            for a, b in zip(got, want):
+                assert a.k_peak == pytest.approx(b.k_peak, abs=2e-10)
+                assert a.T_peak == pytest.approx(b.T_peak, abs=1e-12)
+                system = CavitySystem.with_middle(-10.0, zeta_m, x)
+                assert a.T_peak == transmission(system, a.k_peak)
+
+    def test_failed_seed_falls_back_to_a_window_search(self, monkeypatch):
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return find_peaks(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "find_peaks", counted)
+        seeds = self.pair_seeds(-10.0, -196.6)
+        center = pair_center(-10.0, -196.6)
+        track(-10.0, -196.6, self.XS, center, 0.05, seeds=seeds)
+        assert searches == []
+        monkeypatch.setattr(spectrum, "_descend", lambda *a: None)
+        track(-10.0, -196.6, self.XS, center, 0.05, seeds=seeds)
+        assert len(searches) == len(self.XS)
+
+    def test_seeds_on_one_peak_fall_back(self, monkeypatch):
+        # both seeds on the lower member: the refined pair is not
+        # distinct, so the step searches its window
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return find_peaks(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "find_peaks", counted)
+        lower, upper = sorted(self.pair_seeds(-10.0, -150.0))
+        center = pair_center(-10.0, -150.0)
+        ((a, b),) = track(-10.0, -150.0, [0.0], center, 0.05,
+                          seeds=(lower, lower + 1e-12))
+        assert len(searches) == 1
+        assert (a.k_peak, b.k_peak) == pytest.approx((lower, upper),
+                                                     abs=1e-9)
+
+    @given(st.floats(-3.0, 3.0))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_descent_ends_on_a_minimum(self, offset):
+        # seeds anywhere across a near-coalescent pair, saddle included
+        zm = -196.6
+        system = CavitySystem.with_middle(-10.0, zm)
+        kappa = bare_linewidth(-10.0)
+        seed = pair_center(-10.0, zm) + offset * kappa
+        k = spectrum._descend(system, seed, 4.0 * kappa, 1e-10)
+        if k is not None:
+            _, slope, curve = spectrum.s_derivatives(system, k)
+            assert curve > 0.0
+            assert abs(k - seed) <= 4.0 * kappa
 
 
 class TestFindMergePoint:
