@@ -11,13 +11,16 @@ Exit codes: 0 success, 2 argument/config parse error, 3 domain error
 (reported on stderr as one line 'error[<token>]: <message>').
 
 Importing this module loads no numpy.  `splitting`, `report`,
-`threshold` (without --numeric), `sensitivity` and --version run on the
-closed forms and the standard library alone.  `figures fig2`, `figures
-fig3`, `sweep-x` and `branches` (without --kmin/--kmax) load the
-numeric modules but no numpy: their tracker is seeded from the closed
-forms, and CSV documents of at most _FMT_ROWS rows are formatted cell by
-cell.  A tracker step that falls back to a grid search, a longer CSV
-document and the other subcommands load numpy.
+`threshold` (without --numeric) and `sensitivity` and --version run on
+the closed forms and the standard library alone.  The trackers (`figures
+fig2`, `figures fig3`, `sweep-x` and `branches` without --kmin/--kmax)
+and the short array commands (`peaks`, `threshold --numeric`, `stack`,
+`figures fig1` and `figures threshold-sweep`) load the numeric modules
+but no numpy: the trackers are seeded from the closed forms, a grid
+within core_scatter.SCALAR_GRID_WORK runs on the scalar kernel, and CSV
+documents of at most _FMT_ROWS rows are formatted cell by cell.
+`spectrum`, a larger grid, a tracker step that falls back to a grid
+search and a longer CSV document load numpy.
 """
 
 from __future__ import annotations
@@ -283,12 +286,13 @@ def _fmt(value):
 
 
 _CSV_BLOCK = 1 << 16
-# the longest document _render_csv formats with _fmt.  Measured on six
-# float columns (2-core Xeon): _fmt takes about 5.7 us a row, the kernel
-# 1.2 ms plus 2.1 us a row once numpy is loaded, and loading numpy about
-# 0.15 s.  At 1024 rows _fmt costs at most ~4 ms more than the kernel,
-# against the 0.15 s that a process without numpy saves.
-_FMT_ROWS = 1024
+# the longest document _render_csv formats with _fmt.  Measured on
+# fig1's six float columns (2-core Xeon, numpy 2.4): _fmt takes about
+# 6.6 us a row, the kernel 1.2 ms plus 2.3 us a row once numpy is
+# loaded, and loading numpy 0.17 s.  At 4096 rows _fmt costs at most
+# ~19 ms more than the kernel, against the 0.17 s that a process without
+# numpy saves; fig1's 2001 rows lie below.
+_FMT_ROWS = 4096
 # the longest "%.11e" of a float: -d.ddddddddddde-ddd
 _FLOAT_WIDTH = 19
 # 10**k is a float64 without rounding for k <= 22

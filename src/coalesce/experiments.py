@@ -66,7 +66,7 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
     """
     k_min, k_max = float(k_window[0]), float(k_window[1])
     ks = spectrum.linspace(k_min, k_max, int(n_points))
-    traces = [_grid(spectrum.scan_transmission(
+    traces = [_grid(spectrum.sample_transmission(
         CavitySystem.with_middle(zeta, zm), k_min, k_max, int(n_points))[1])
         for zm in zeta_m_list]
     columns = {"k": _grid(ks)}

@@ -9,24 +9,32 @@ grid cell, with the analytic derivatives of
 :func:`core_scatter.s_derivatives`.  Half-widths solve T = T_peak/2 the
 same way.  The grid maxima and their prominences are computed in-house,
 with the rules of SciPy's ``signal.find_peaks``, so numpy is the only
-runtime dependency; the grid functions import it when they run.
-Everything is a pure function of its inputs: identical calls return
-identical results.  :func:`track` is the one loop that follows peaks
-across displacements of the middle element.  It seeds each step from
-the closed forms and the previous peaks and refines the seeds by the
-same Newton steps, without a grid; only a step whose seeded refinement
-fails a check searches a grid window.
+runtime dependency.  A search grid is a list of floats, evaluated on the
+scalar kernel and searched in Python, when its work (points x hops) is
+at most :data:`core_scatter.SCALAR_GRID_WORK`, as every window of a few
+linewidths is; only a larger grid, and :func:`scan_transmission`,
+import numpy.  Everything is a pure function of its inputs: identical
+calls return identical results.  :func:`track` is the one loop that
+follows peaks across displacements of the middle element.  It seeds
+each step from the closed forms and the previous peaks and refines the
+seeds by the same Newton steps, without a grid; only a step whose
+seeded refinement fails a check searches a grid window.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from . import closed_form, two_mode
-from .core_scatter import CavitySystem, s_derivatives, transmission
+from .core_scatter import (
+    CavitySystem,
+    grid,
+    linspace,
+    s_derivatives,
+    transmission,
+)
 from .errors import (
     EdgeTruncationError,
     InvalidParameterError,
@@ -38,6 +46,7 @@ __all__ = [
     "ResonancePeak",
     "linspace",
     "scan_transmission",
+    "sample_transmission",
     "find_peaks",
     "peak_halfwidth",
     "displacements",
@@ -67,42 +76,35 @@ def _window(k_min, k_max):
     return k_min, k_max
 
 
-def linspace(start, stop, num):
-    """``num`` evenly spaced floats from ``start`` to ``stop``, as a list.
-
-    Bit for bit the values of ``numpy.linspace(start, stop, num)``:
-    start + i*step with step = (stop - start)/(num - 1), the last point
-    set to ``stop``; where step underflows to 0, start + (i/(num - 1))
-    * (stop - start).  Raises :class:`InvalidParameterError` for
-    num < 0.
-    """
-    start, stop, num = float(start), float(stop), operator.index(num)
-    if num < 0:
-        raise InvalidParameterError(f"need num >= 0 points, got {num}")
-    delta = stop - start
-    div = num - 1
-    if div <= 0:
-        return [i * delta + start for i in range(num)]
-    step = delta / div
-    if step == 0.0:
-        values = [i / div * delta + start for i in range(num)]
-    else:
-        values = [i * step + start for i in range(num)]
-    values[-1] = stop
-    return values
-
-
-def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
-    """Uniformly sample T(k) on [k_min, k_max]: arrays ``(ks, ts)``."""
-    import numpy as np
-
+def _samples(k_min, k_max, n_points):
+    """The checked window and point count of a uniform scan."""
     k_min, k_max = _window(k_min, k_max)
     n = int(n_points)
     if n < 2:
         raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
     if n > _MAX_GRID_POINTS:
         raise InvalidParameterError(f"n_points {n} exceeds {_MAX_GRID_POINTS}")
+    return k_min, k_max, n
+
+
+def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
+    """Uniformly sample T(k) on [k_min, k_max]: numpy arrays ``(ks, ts)``."""
+    import numpy as np
+
+    k_min, k_max, n = _samples(k_min, k_max, n_points)
     ks = np.linspace(k_min, k_max, n)
+    return ks, transmission(system, ks)
+
+
+def sample_transmission(system: CavitySystem, k_min, k_max, n_points):
+    """Uniformly sample T(k) on [k_min, k_max] on the kernel grid() picks.
+
+    ``(ks, ts)`` are lists of floats for a grid within
+    :data:`core_scatter.SCALAR_GRID_WORK`, else numpy arrays; the
+    wavenumbers are those of :func:`scan_transmission` either way.
+    """
+    k_min, k_max, n = _samples(k_min, k_max, n_points)
+    ks = grid(k_min, k_max, n, len(system.elements) + 1)
     return ks, transmission(system, ks)
 
 
@@ -115,8 +117,11 @@ def _grid_maxima(ts, prominence):
     result is an index array in increasing order.  On each side the
     base is the lowest sample down to the nearest strictly higher sample
     or the array end, and a maximum is kept when it stands at least
-    ``prominence`` above the higher of its two bases.
+    ``prominence`` above the higher of its two bases.  A list of floats
+    is searched in Python and gives a list of the same indices.
     """
+    if isinstance(ts, list):
+        return _list_maxima(ts, prominence)
     import numpy as np
 
     x = np.asarray(ts, dtype=float)
@@ -140,6 +145,31 @@ def _grid_maxima(ts, prominence):
     right_base = _bases(heights[::-1], valleys[::-1])[::-1]
     base = np.maximum(left_base[1:-1], right_base[1:-1])
     return peaks[x[peaks] - base >= prominence]
+
+
+def _list_maxima(x, prominence):
+    """:func:`_grid_maxima` of a list, by the same rules, in Python."""
+    peaks = []
+    i, last = 1, len(x) - 1
+    while i < last:
+        if x[i - 1] < x[i] and not x[i + 1] > x[i]:
+            j = i   # walk the flat top: samples neither rise nor fall
+            while j < last and not (x[j + 1] > x[j] or x[j + 1] < x[j]):
+                j += 1
+            if j < last and x[j + 1] < x[j]:
+                peaks.append((i + j) // 2)
+            i = j
+        i += 1
+    if not peaks:
+        return peaks
+    tops = [0, *peaks, last]
+    heights = [x[t] for t in tops]
+    valleys = [min(x[a:b]) for a, b in zip(tops, tops[1:-1] + [last + 1])]
+    left_base = _bases(heights, valleys)
+    right_base = _bases(heights[::-1], valleys[::-1])[::-1]
+    return [p for p, h, lb, rb in zip(peaks, heights[1:], left_base[1:],
+                                      right_base[1:])
+            if h - max(lb, rb) >= prominence]
 
 
 def _bases(heights, valleys):
@@ -194,8 +224,6 @@ def _newton(f, lo, x, hi, tol):
 
 
 def _grid_for(system, k_min, k_max, grid_per_kappa):
-    import numpy as np
-
     if system.zeta_end == 0.0:
         raise InvalidParameterError(
             "peak search needs reflective end mirrors (zeta_end != 0)")
@@ -207,7 +235,13 @@ def _grid_for(system, k_min, k_max, grid_per_kappa):
         raise InvalidParameterError(
             f"window needs {n} grid points (> {_MAX_GRID_POINTS}); "
             "narrow the window or lower grid_per_kappa")
-    return np.linspace(k_min, k_max, n)
+    return grid(k_min, k_max, n, len(system.elements) + 1)
+
+
+def _check_prominence(prominence):
+    if not 0.0 <= prominence < math.inf:
+        raise InvalidParameterError(
+            f"prominence must be finite and >= 0, got {prominence}")
 
 
 def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
@@ -228,7 +262,8 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
         bracket of both signs of s' at most this wide.
     prominence : float
         Minimum height of a maximum above its separating saddle; guards
-        against counting round-off ripples on nearly flat tops.
+        against counting round-off ripples on nearly flat tops.  Finite
+        and >= 0.
 
     Returns
     -------
@@ -244,6 +279,7 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
     if not 0.0 < refine_tol <= 1e-8:
         raise InvalidParameterError(
             f"refine_tol must be in (0, 1e-8], got {refine_tol}")
+    _check_prominence(prominence)
     ks = _grid_for(system, k_min, k_max, grid_per_kappa)
     ts = transmission(system, ks)
     peaks = []
@@ -484,6 +520,7 @@ def find_merge_point(zeta, zeta_m_range: Tuple, pair_index=1, rel_tol=1e-3,
     if not (math.isfinite(a) and math.isfinite(b)) or a * b <= 0.0:
         raise InvalidParameterError(
             f"zeta_m_range must be two same-sign values, got {zeta_m_range!r}")
+    _check_prominence(prominence)
     if abs(a) > abs(b):
         a, b = b, a
 

@@ -237,6 +237,19 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("error[not-bracketed]:")
 
+    @pytest.mark.parametrize("argv", [
+        ("stack", "--spacing-max=nan"), ("stack", "--spacing-max=inf"),
+        ("stack", "--k=nan"), ("stack", "--k=inf"), ("stack", "--k=-1"),
+        ("stack", "--k=0"), ("stack", "--n-layers=1", "--k=nan"),
+        ("stack", "--spacing=0.1", "--k=-1"),
+        ("peaks", "--prominence=nan"), ("peaks", "--prominence=-1e-9"),
+        ("peaks", "--prominence=inf"),
+    ], ids=" ".join)
+    def test_out_of_range_float_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("error[invalid-parameter]:")
+
     def test_lost_peak_is_pair_identification(self, capsys):
         # weak mirrors near the threshold: the broad pair leaves the
         # tracking window as the middle element moves
@@ -582,8 +595,31 @@ class TestRuntimeWithoutNumpy:
         assert all(rc == 0 and out for rc, out in blocked)
         assert blocked[-1] == (0, coalesce.__version__ + "\n")
 
+    # the short array subcommands: their grids lie below
+    # core_scatter.SCALAR_GRID_WORK.  The `peaks` window holds a pulled
+    # pair and 6 kappa either side of it (684 grid points), as in the
+    # benchmark's `queries` workload.
+    SHORT_ARRAYS = [
+        ["peaks", "--zeta=-10.606371890891051", "--zeta-m=-174.7416361227954",
+         "--kmin=6.153278644910792", "--kmax=6.21363650775691"],
+        ["threshold", "--zeta=-9.3", "--numeric"],
+        ["stack", "--zeta-element=-0.64", "--n-layers=2"],
+        ["stack", "--zeta-element=-1.43", "--n-layers=3"],
+        ["stack", "--zeta-element=-1.1", "--n-layers=3", "--spacing=0.21"],
+        ["figures", "fig1"],
+        ["figures", "threshold-sweep"],
+    ]
+
     def test_trackers_run_with_numpy_blocked(self):
         argvs = [argv + [f"--format={fmt}"] for argv in self.TRACKERS
+                 for fmt in ("csv", "json")]
+        blocked = outputs_in_fresh_interpreter(argvs, block_numpy=True)
+        normal = outputs_in_fresh_interpreter(argvs, block_numpy=False)
+        assert blocked == normal
+        assert all(rc == 0 and out for rc, out in blocked)
+
+    def test_short_array_commands_run_with_numpy_blocked(self):
+        argvs = [argv + [f"--format={fmt}"] for argv in self.SHORT_ARRAYS
                  for fmt in ("csv", "json")]
         blocked = outputs_in_fresh_interpreter(argvs, block_numpy=True)
         normal = outputs_in_fresh_interpreter(argvs, block_numpy=False)

@@ -197,6 +197,33 @@ class TestTransmission:
         ks = np.linspace(0.5, 20.0, 20001)
         assert float(np.max(transmission(sys_m, ks))) <= 1.0
 
+    def test_list_is_the_scalar_kernel_point_by_point(self):
+        system = CavitySystem.with_middle(-10.0, -196.6, 0.01)
+        ks = np.linspace(5.9, 6.4, 501).tolist()
+        got = transmission(system, ks)
+        assert type(got) is list
+        assert got == [transmission(system, k) for k in ks]
+        # numpy's complex products round apart from Python's
+        np.testing.assert_allclose(got, transmission(system, np.array(ks)),
+                                   rtol=1e-12, atol=0.0)
+        assert transmission(system, []) == []
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_list_wavenumbers_checked(self, bad):
+        with pytest.raises(InvalidParameterError):
+            transmission(CavitySystem.empty(-10.0), [6.0, bad])
+
+
+class TestGrid:
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_scalar_kernel_up_to_the_bound(self, hops):
+        n = core_scatter.SCALAR_GRID_WORK // hops
+        short = core_scatter.grid(2.0, 9.0, n, hops)
+        long = core_scatter.grid(2.0, 9.0, n + 1, hops)
+        assert type(short) is list and type(long) is np.ndarray
+        assert short == np.linspace(2.0, 9.0, n).tolist()
+        assert np.array_equal(long, np.linspace(2.0, 9.0, n + 1))
+
 
 class TestReflectionAmplitude:
     def test_transparent_element_reflects_nothing(self):
@@ -254,6 +281,40 @@ class TestEffectivePolarizability:
                   for n in range(1, 5)]
         ratios = [b / a for a, b in zip(values, values[1:])]
         assert all(r >= 1.8 for r in ratios)
+
+    def test_float_k_gives_the_array_value(self):
+        elements = [(0.1, -1.3), (0.25, -0.7), (0.4, 2.0)]
+        ks = [0.5, 2.0, 6.3]
+        values = effective_polarizability(elements, np.array(ks))
+        for k, value in zip(ks, values.tolist()):
+            got = effective_polarizability(elements, k)
+            assert type(got) is float
+            assert got == pytest.approx(value, rel=1e-13)
+
+    def test_overflowing_stack_is_inf(self):
+        elements = [(0.1, -1e200), (0.3, -1e200), (0.5, -1e200)]
+        assert effective_polarizability(elements, 2.0) == math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = effective_polarizability(elements, np.array([2.0, 3.0]))
+        assert values.tolist() == [math.inf] * 2
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_scalar_and_array_scans_agree(self, n, monkeypatch):
+        scalar = maximize_stack_polarizability(-1.3, n, n_grid=4001)
+        monkeypatch.setattr(core_scatter, "SCALAR_GRID_WORK", 0)
+        array = maximize_stack_polarizability(-1.3, n, n_grid=4001)
+        assert scalar[1] == array[1]
+        assert scalar[0] == pytest.approx(array[0], rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("kwargs", [
+        {"spacing_max": math.nan}, {"spacing_max": math.inf},
+        {"spacing_max": 0.0}, {"k": math.nan}, {"k": math.inf},
+        {"k": -1.0}, {"k": 0.0}, {"n_grid": 2001.0}, {"n_grid": 100.5},
+        {"n_grid": "2001"}, {"n_grid": 1}], ids=repr)
+    def test_bad_scan_refused(self, n, kwargs):
+        with pytest.raises(InvalidParameterError):
+            maximize_stack_polarizability(-1.0, n, **kwargs)
 
     def test_stack_matrix_monotone_positions_required(self):
         with pytest.raises(InvalidParameterError):
@@ -337,7 +398,7 @@ class TestKernelAgainstPlainProduct:
         hops.append((1.0 - pos, zeta_end))
         err = 1e-12 * product_condition(
             zeta_end, zeta_end, *(z for _, z in elements))
-        for k in (ks[0], np.array(ks)):
+        for k in (ks[0], np.array(ks), list(ks)):
             plain = plain_product(chain(zeta_end, hops, k))
             assert_matches_plain(system_matrix(system, k), plain, err)
             m21, m22 = plain[..., 1, 0], plain[..., 1, 1]

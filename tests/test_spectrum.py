@@ -27,7 +27,7 @@ from coalesce import (
     tunneling_rate,
     pair_center,
 )
-from coalesce import cli, closed_form, spectrum
+from coalesce import cli, closed_form, core_scatter, spectrum
 from coalesce.cli import main
 from coalesce.spectrum import _grid_maxima, _newton
 
@@ -113,6 +113,18 @@ class TestScanTransmission:
         ks_b, ts_b = scan_transmission(SYS_PAIR, 6.1, 6.3, 501)
         assert np.array_equal(ks_a, ks_b) and np.array_equal(ts_a, ts_b)
 
+    def test_samples_are_lists_below_the_bound(self):
+        n = core_scatter.SCALAR_GRID_WORK // 2   # SYS_PAIR has two hops
+        for points, kind in ((501, list), (n, list), (n + 1, np.ndarray)):
+            ks, ts = spectrum.sample_transmission(SYS_PAIR, 6.1, 6.3, points)
+            assert type(ks) is type(ts) is kind
+            want_ks, want_ts = scan_transmission(SYS_PAIR, 6.1, 6.3, points)
+            assert bits(ks) == bits(want_ks)
+            np.testing.assert_allclose(ts, want_ts, rtol=1e-12, atol=0.0)
+        for bad in ((4.0, 2.0, 10), (-1.0, 2.0, 10), (1.0, 2.0, 1)):
+            with pytest.raises(InvalidParameterError):
+                spectrum.sample_transmission(SYS_EMPTY, *bad)
+
 
 class TestFindPeaks:
     def test_empty_cavity_oracle(self):
@@ -144,6 +156,34 @@ class TestFindPeaks:
             find_peaks(SYS_EMPTY, 2.9, 3.2, refine_tol=1e-6)
         with pytest.raises(InvalidParameterError):
             find_peaks(CavitySystem.empty(0.0), 2.9, 3.2)
+
+    @pytest.mark.parametrize("prominence", [math.nan, -1e-9, math.inf])
+    def test_prominence_checked(self, prominence):
+        with pytest.raises(InvalidParameterError, match="prominence"):
+            find_peaks(SYS_PAIR, 6.1, 6.25, prominence=prominence)
+        with pytest.raises(InvalidParameterError, match="prominence"):
+            find_merge_point(-10.0, (-150.0, -250.0), prominence=prominence)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_same_peaks_on_either_kernel_at_the_bound(self, extra,
+                                                      monkeypatch):
+        # an empty cavity has one hop, so a grid of bound + extra points
+        # does bound + extra work: the scalar kernel at the bound, numpy
+        # one point beyond it
+        bound = core_scatter.SCALAR_GRID_WORK
+        step = bare_linewidth(-10.0) / 50
+        lo = 2.5
+        hi = lo + (bound + extra - 1.5) * step
+        ks = spectrum._grid_for(SYS_EMPTY, lo, hi, 50)
+        assert len(ks) == bound + extra
+        assert type(ks) is (list if extra == 0 else np.ndarray)
+        peaks = find_peaks(SYS_EMPTY, lo, hi)
+        assert len(peaks) == 2
+        # the same window on the other kernel
+        monkeypatch.setattr(core_scatter, "SCALAR_GRID_WORK",
+                            bound - 1 + 2 * extra)
+        assert type(spectrum._grid_for(SYS_EMPTY, lo, hi, 50)) is not type(ks)
+        assert find_peaks(SYS_EMPTY, lo, hi) == peaks
 
     def test_peak_heights_capped(self):
         for peaks in (find_peaks(SYS_PAIR, 6.1, 6.25),
@@ -518,26 +558,43 @@ rippled = st.tuples(
       + np.array(p[1][:len(p[0])]))
 
 
+def both_kinds(values):
+    """The samples as a numpy array and as a list of floats."""
+    return np.array(values, dtype=float), [float(v) for v in values]
+
+
 class TestGridMaxima:
+    """An array is searched by numpy, a list in Python, by the same rules."""
+
     def test_plateaus_and_ends(self):
-        x = np.array([2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 3.0, 0.0, 5.0, 5.0])
-        # the end plateaus are no maxima; the flat top reports its midpoint
-        assert _grid_maxima(x, 0.0).tolist() == [4]
+        values = [2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 3.0, 0.0, 5.0, 5.0]
+        for x in both_kinds(values):
+            # the end plateaus are no maxima; the flat top reports its midpoint
+            assert list(_grid_maxima(x, 0.0)) == [4]
 
     def test_prominence_walks_to_the_higher_neighbour(self):
-        x = np.array([0.0, 5.0, 4.0, 4.5, 1.0, 6.0, 0.0])
-        # 4.5 is based on the 4.0 saddle toward 5, so it stands 0.5 high
-        assert _grid_maxima(x, 0.5).tolist() == [1, 3, 5]
-        assert _grid_maxima(x, 0.6).tolist() == [1, 5]
+        for x in both_kinds([0.0, 5.0, 4.0, 4.5, 1.0, 6.0, 0.0]):
+            # 4.5 is based on the 4.0 saddle toward 5, so it stands 0.5 high
+            assert list(_grid_maxima(x, 0.5)) == [1, 3, 5]
+            assert list(_grid_maxima(x, 0.6)) == [1, 5]
 
     def test_prominence_walks_past_equal_tops(self):
         # each 3 walks through the other to the 0 beyond, so stands 3 high
-        x = np.array([0.0, 3.0, 1.0, 3.0, 0.0])
-        assert _grid_maxima(x, 2.5).tolist() == [1, 3]
+        for x in both_kinds([0.0, 3.0, 1.0, 3.0, 0.0]):
+            assert list(_grid_maxima(x, 2.5)) == [1, 3]
 
     def test_short_and_flat_inputs(self):
-        for x in ([], [1.0], [1.0, 2.0], [3.0, 3.0, 3.0]):
-            assert _grid_maxima(np.array(x), 0.0).size == 0
+        for values in ([], [1.0], [1.0, 2.0], [3.0, 3.0, 3.0]):
+            for x in both_kinds(values):
+                assert len(_grid_maxima(x, 0.0)) == 0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(x=st.one_of(levels, rippled),
+           prominence=st.sampled_from([0.0, 1e-10, 1e-9, 1.0, 2.0, 3.0]))
+    def test_list_and_array_give_equal_indices(self, x, prominence):
+        got = _grid_maxima(x.tolist(), prominence)
+        assert type(got) is list
+        assert got == _grid_maxima(x, prominence).tolist()
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(x=st.one_of(levels, rippled),
@@ -552,5 +609,6 @@ class TestGridMaxima:
             system = CavitySystem.with_middle(-10.0, zm)
             _, ts = scan_transmission(system, 2.0, 13.0, 200001)
             for prominence in (0.0, 1e-9):
-                assert (_grid_maxima(ts, prominence).tolist()
-                        == scipy_maxima(ts, prominence).tolist())
+                want = scipy_maxima(ts, prominence).tolist()
+                assert _grid_maxima(ts, prominence).tolist() == want
+                assert _grid_maxima(ts.tolist(), prominence) == want
