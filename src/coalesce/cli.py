@@ -740,3 +740,7 @@ def main(argv=None) -> int:
 
 def run():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

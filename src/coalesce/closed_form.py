@@ -1,8 +1,10 @@
 """Closed-form cavity formulas: resonances, splitting, pulled peaks.
 
 These are the analytic counterparts of the numeric transfer-matrix
-engine and double as test oracles for it.  Units are c = 1, L = 1
-throughout, so frequencies and wavenumbers coincide.
+engine and double as test oracles for it.  :func:`newton` is the
+package's one root solver, shared with the searches of ``spectrum``.
+Units are c = 1, L = 1 throughout, so frequencies and wavenumbers
+coincide.
 
 Conventions fixed here (branch choices the formulas leave open):
 
@@ -36,7 +38,7 @@ from .errors import (
 )
 
 __all__ = [
-    "bisect",
+    "newton",
     "bare_resonance",
     "bare_linewidth",
     "mode_splitting",
@@ -53,38 +55,45 @@ __all__ = [
 ]
 
 
-_RTOL = 4.0 * math.ulp(1.0)   # SciPy's default rtol, 4 eps
+def newton(f, lo, x, hi, tol):
+    """Root of ``f`` in [lo, hi] by safeguarded Newton steps from ``x``.
 
-
-def bisect(f, lo, hi, xtol):
-    """Root of ``f`` in [lo, hi] by bisection, step for step as SciPy's.
-
-    Each step halves ``dm``, tries ``xm = lo + dm`` and moves ``lo`` there
-    when f(xm) has the sign of f(lo); it stops when f(xm) is 0 or
-    |dm| < xtol + 4*eps*|xm|, so each root is the float SciPy's
-    ``optimize.bisect`` returns.  Raises :class:`InvalidParameterError`
-    unless xtol > 0, and :class:`NotBracketedError` when f(lo) and f(hi)
-    are nonzero of one sign (or NaN) or after 100 steps.
+    The package's one root solver.  ``f(x)`` gives the value, rising
+    through the root, and its slope.  Each value moves the bracket end
+    of its sign.  A step that leaves the bracket, or comes from a slope
+    <= 0 (or none: pass 0), is replaced by bisection.  Ends at a zero
+    value whose slope is >= 0, or at a Newton step of at most ``tol / 2``
+    inside the bracket.  Once values of both signs bound a bracket at
+    most ``tol`` (or four ulps) wide, ends at the Newton step from the
+    last point if it lands inside the bracket, else mid-bracket.  Raises
+    :class:`InvalidParameterError` unless tol > 0, and
+    :class:`NotBracketedError` when the bracket collapses on an end never
+    evaluated, or after 64 evaluations.
     """
-    if not xtol > 0.0:   # also refuses NaN
-        raise InvalidParameterError(f"xtol must be > 0, got {xtol!r}")
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
-        raise NotBracketedError(f"no sign change of f on [{lo}, {hi}]")
-    dm = hi - lo
-    for _ in range(100):
-        dm *= 0.5
-        xm = lo + dm
-        fm = f(xm)
-        if (fm > 0.0) == (flo > 0.0):   # signs, not a product that underflows
-            lo = xm
-        if fm == 0.0 or abs(dm) < xtol + _RTOL * abs(xm):
-            return xm
-    raise NotBracketedError("bisection did not converge in 100 steps")
+    if not tol > 0.0:   # also refuses NaN
+        raise InvalidParameterError(f"tol must be > 0, got {tol!r}")
+    signs = set()
+    for _ in range(64):
+        value, slope = f(x)
+        if value == 0.0 and slope >= 0.0:   # a falling zero is no root
+            return x
+        if value < 0.0 or value > 0.0:
+            lo, hi = (x, hi) if value < 0.0 else (lo, x)
+            signs.add(value > 0.0)
+        done = len(signs) == 2 and hi - lo <= max(tol, 4.0 * math.ulp(x))
+        step = value / slope if slope > 0.0 else math.nan
+        new = x - step
+        if lo <= new <= hi and (done or abs(step) <= 0.5 * tol):
+            return new
+        if done:
+            return 0.5 * (lo + hi)
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:
+                raise NotBracketedError(
+                    f"refinement lost its bracket near {x!r}")
+        x = new
+    raise NotBracketedError(f"refinement did not converge near {x!r}")
 
 
 def bare_resonance(n, zeta):
@@ -225,13 +234,18 @@ def resonant_transmission(x, zeta_m, k):
 
 
 def _lossless_condition(zeta_m, x):
+    """2*zeta_m - cot(k*a) - cot(k*b) and its k-slope, a/sin^2 + b/sin^2.
+
+    The slope is positive, so the condition rises through every root
+    and has at most one between adjacent poles of the cotangents.
+    """
     a = 0.5 + x
     b = 0.5 - x
 
     def f(k):
-        return (math.cos(k * a) / math.sin(k * a)
-                + math.cos(k * b) / math.sin(k * b)
-                - 2.0 * zeta_m)
+        sa, sb = math.sin(k * a), math.sin(k * b)
+        return (2.0 * zeta_m - math.cos(k * a) / sa - math.cos(k * b) / sb,
+                a / (sa * sa) + b / (sb * sb))
 
     return f
 
@@ -240,9 +254,9 @@ def lossless_eigenmodes(zeta_m, x, bracket):
     """Eigenmode wavenumber for perfect end mirrors and a delta scatterer.
 
     Solves cot(k*a) + cot(k*b) = 2*zeta_m with a = 1/2 + x, b = 1/2 - x
-    by bisection to 1e-12.  ``bracket`` must contain exactly one root and
-    no pole of the cotangents; at x = 0 the condition reduces to
-    cot(k/2) = zeta_m.
+    by :func:`newton` to 1e-12, with the analytic slope.  ``bracket``
+    must contain exactly one root and no pole of the cotangents; at
+    x = 0 the condition reduces to cot(k/2) = zeta_m.
     """
     zm = _finite("zeta_m", zeta_m)
     xv = _finite("x", x)
@@ -252,14 +266,14 @@ def lossless_eigenmodes(zeta_m, x, bracket):
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidParameterError(f"bad bracket {bracket!r}")
     f = _lossless_condition(zm, xv)
-    root = bisect(f, lo, hi, xtol=1e-12)
+    root = newton(f, lo, 0.5 * (lo + hi), hi, 1e-12)
     # a sign change across a cotangent pole is not a root; the residual
     # bound scales with the slope at a genuine root, ~ (1 + zeta_m^2)
-    if abs(f(root)) > max(1e-6 * (1.0 + 2.0 * abs(zm)),
-                          1e-9 * (1.0 + zm * zm)):
+    if abs(f(root)[0]) > max(1e-6 * (1.0 + 2.0 * abs(zm)),
+                             1e-9 * (1.0 + zm * zm)):
         raise NotBracketedError(
             f"bracket [{lo}, {hi}] straddles a pole, not a root")
-    return float(root)
+    return root
 
 
 def lossless_pair(zeta_m, x, n=1):
@@ -294,13 +308,10 @@ def lossless_pair(zeta_m, x, n=1):
     roots = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         lo, hi = lo + pad, hi - pad
-        if lo >= hi:
-            continue
-        if f(lo) * f(hi) < 0:
-            r = bisect(f, lo, hi, xtol=1e-12)
-            if abs(f(r)) < max(1e-6 * (1.0 + 2.0 * abs(zm)),
-                               1e-9 * (1.0 + zm * zm)):
-                roots.append(r)
+        # f rises between poles, so a sign change is a root; signs, not
+        # a product f(lo) * f(hi) that can underflow
+        if lo < hi and f(lo)[0] < 0.0 < f(hi)[0]:
+            roots.append(newton(f, lo, 0.5 * (lo + hi), hi, 1e-12))
     if len(roots) < 2:
         raise NotBracketedError(
             f"could not isolate the eigenmode pair near {target:.6g} "

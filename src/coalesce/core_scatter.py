@@ -319,21 +319,22 @@ def maximize_stack_polarizability(zeta, n_elements, k=2.0 * math.pi,
     separated by a common spacing ``d`` and scans ``n_grid`` spacings
     ``d`` over ``(0, spacing_max]`` at fixed ``k``, on the scalar kernel
     or on numpy as :func:`grid` chooses.  Returns ``(zeta_eff, spacing)``
-    for the best spacing found, the first of equal ones.  For one element
-    the spacing is irrelevant and (|zeta|, 0.0) is returned.  Raises
-    :class:`InvalidParameterError` unless ``zeta`` and ``spacing_max`` > 0
-    are finite, ``k`` is finite and > 0, ``n_elements`` >= 1 and
-    ``n_grid`` >= 2 is an integer.
+    for the best spacing found, the first of equal ones; a |r/t| that
+    overflows counts as ``inf``, as in :func:`effective_polarizability`.
+    For one element the spacing is irrelevant and (|zeta|, 0.0) is
+    returned.  Raises :class:`InvalidParameterError` unless ``zeta`` and
+    ``spacing_max`` > 0 are finite, ``k`` is finite and > 0, and the
+    integers ``n_elements`` >= 1 and ``n_grid`` >= 2.
     """
     z = _finite("zeta", zeta)
     k = _check_k(float(k))
     spacing_max = _finite("spacing_max", spacing_max)
-    n = int(n_elements)
     try:
-        n_grid = operator.index(n_grid)
+        n, n_grid = operator.index(n_elements), operator.index(n_grid)
     except TypeError:
         raise InvalidParameterError(
-            f"n_grid must be an integer, got {n_grid!r}") from None
+            "n_elements and n_grid must be integers, got "
+            f"{n_elements!r} and {n_grid!r}") from None
     if n < 1:
         raise InvalidParameterError("n_elements must be >= 1")
     if n_grid < 2 or spacing_max <= 0:
@@ -344,11 +345,13 @@ def maximize_stack_polarizability(zeta, n_elements, k=2.0 * math.pi,
     ds = grid(spacing_max / n_grid, spacing_max, n_grid, n - 1)
     # unit hops at wavenumbers k*d carry the phases e^{ikd} of every spacing
     if isinstance(ds, list):
-        vals = [abs(_compose(z, hops, k * d)[1]) for d in ds]
+        vals = [v if math.isfinite(v) else math.inf
+                for v in (abs(_compose(z, hops, k * d)[1]) for d in ds)]
         i = max(range(n_grid), key=vals.__getitem__)
         return vals[i], ds[i]
     import numpy as np
 
     vals = np.abs(_compose(z, hops, k * ds)[1])
+    vals = np.where(np.isfinite(vals), vals, np.inf)
     i = int(np.argmax(vals))
     return float(vals[i]), float(ds[i])

@@ -36,8 +36,8 @@ class DivergentSensitivityError(AboveThresholdError):
 
 
 class NotBracketedError(CoalescenceError):
-    """A bracketed search (bisection, merge hunt) was given an interval
-    that does not contain the sought sign change or transition."""
+    """A root solve found no sign change in its bracket, or did not
+    converge in it; or a merge search range does not straddle the merge."""
 
 
 class EdgeTruncationError(CoalescenceError):

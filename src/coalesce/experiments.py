@@ -195,8 +195,9 @@ def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=FIG3_ZETA_M,
 def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
     """Peak count, heights and merged width across the coalescence threshold.
 
-    The grid must straddle the threshold; the numeric merge point is
-    located by bisection and echoed in the params.
+    The grid must straddle the threshold.  The numeric merge point, the
+    fold that :func:`~coalesce.spectrum.find_merge_point` solves between
+    the grid's weakest and strongest zeta_m, is echoed in the params.
     """
     star = closed_form.coalescence_threshold(zeta)
     if zeta_m_grid is None:

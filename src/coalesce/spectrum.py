@@ -1,6 +1,6 @@
 """Transmission scans, peak location/refinement, and peak tracking.
 
-All searches run on a wavenumber grid sized against the bare cavity
+Peak searches run on a wavenumber grid sized against the bare cavity
 linewidth kappa (grid step = kappa / grid_per_kappa), detect local
 maxima with a small prominence floor (so the flat top of a merging pair
 is not miscounted as several noise peaks), and polish each maximum by
@@ -19,6 +19,7 @@ follows peaks across displacements of the middle element.  It seeds
 each step from the closed forms and the previous peaks and refines the
 seeds by the same Newton steps, without a grid; only a step whose
 seeded refinement fails a check searches a grid window.
+:func:`find_merge_point` solves the merge as a fold of s, without a grid.
 """
 
 from __future__ import annotations
@@ -190,39 +191,6 @@ def _bases(heights, valleys):
     return out
 
 
-def _newton(f, lo, x, hi, tol):
-    """Root of ``f`` in (lo, hi) by safeguarded Newton steps from ``x``.
-
-    ``f(x)`` gives the value, rising through the root, and its slope.
-    Each value moves the bracket end of its sign.  A step that leaves
-    the bracket, or comes from a slope <= 0, is replaced by bisection.
-    Ends at a Newton step of at most ``tol / 2`` inside the bracket, or
-    mid-bracket once values of both signs bound a bracket at most
-    ``tol`` (or four ulps) wide.  Raises
-    :class:`NotBracketedError` when the bracket collapses on an end never
-    evaluated, or after 64 evaluations.
-    """
-    signs = set()
-    for _ in range(64):
-        value, slope = f(x)
-        if value < 0.0 or value > 0.0:
-            lo, hi = (x, hi) if value < 0.0 else (lo, x)
-            signs.add(value > 0.0)
-        if len(signs) == 2 and hi - lo <= max(tol, 4.0 * math.ulp(x)):
-            return 0.5 * (lo + hi)
-        step = value / slope if slope > 0.0 else math.nan
-        new = x - step
-        if abs(step) <= 0.5 * tol and lo <= new <= hi:
-            return new
-        if not lo < new < hi:
-            new = 0.5 * (lo + hi)
-            if not lo < new < hi:
-                raise NotBracketedError(
-                    f"refinement lost its bracket near {x!r}")
-        x = new
-    raise NotBracketedError(f"refinement did not converge near {x!r}")
-
-
 def _grid_for(system, k_min, k_max, grid_per_kappa):
     if system.zeta_end == 0.0:
         raise InvalidParameterError(
@@ -236,12 +204,6 @@ def _grid_for(system, k_min, k_max, grid_per_kappa):
             f"window needs {n} grid points (> {_MAX_GRID_POINTS}); "
             "narrow the window or lower grid_per_kappa")
     return grid(k_min, k_max, n, len(system.elements) + 1)
-
-
-def _check_prominence(prominence):
-    if not 0.0 <= prominence < math.inf:
-        raise InvalidParameterError(
-            f"prominence must be finite and >= 0, got {prominence}")
 
 
 def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
@@ -279,13 +241,15 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
     if not 0.0 < refine_tol <= 1e-8:
         raise InvalidParameterError(
             f"refine_tol must be in (0, 1e-8], got {refine_tol}")
-    _check_prominence(prominence)
+    if not 0.0 <= prominence < math.inf:
+        raise InvalidParameterError(
+            f"prominence must be finite and >= 0, got {prominence}")
     ks = _grid_for(system, k_min, k_max, grid_per_kappa)
     ts = transmission(system, ks)
     peaks = []
     for i in _grid_maxima(ts, prominence):
-        k = float(_newton(lambda k: s_derivatives(system, k)[1:], ks[i - 1],
-                          ks[i], ks[i + 1], refine_tol))
+        k = float(closed_form.newton(lambda k: s_derivatives(system, k)[1:],
+                                     ks[i - 1], ks[i], ks[i + 1], refine_tol))
         peaks.append(ResonancePeak(k_peak=k, T_peak=transmission(system, k)))
     return peaks
 
@@ -313,14 +277,14 @@ def peak_halfwidth(system: CavitySystem, peak: ResonancePeak,
             return s - (1.0 / half - 1.0), sign * ds
 
         lo, hi = 0.0, min(0.5 * kappa, max_offset)
-        while f(hi)[0] < 0.0:   # the sign test _newton applies
+        while f(hi)[0] < 0.0:   # the sign test newton applies
             if hi >= max_offset:
                 raise EdgeTruncationError(
                     "half level not reached within "
                     f"{max_offset:g} of the peak on the "
                     f"{'left' if sign < 0 else 'right'} side")
             lo, hi = hi, min(2.0 * hi, max_offset)
-        widths.append(_newton(f, lo, hi, hi, 2e-10))
+        widths.append(closed_form.newton(f, lo, hi, hi, 2e-10))
     return 0.5 * (widths[0] + widths[1])
 
 
@@ -344,7 +308,7 @@ def _descend(system, seed, reach, tol):
     Newton steps on s' walk downhill from the seed, each carried a
     quarter of its length (at least ``tol``) past its target, until s'
     changes sign; that sign change brackets the minimum, which
-    :func:`_newton` refines to ``tol``.  A bisection kept on
+    :func:`closed_form.newton` refines to ``tol``.  A bisection kept on
     s'(lo) < 0 < s'(hi) ends on a minimum of s, never on the saddle
     between two peaks.  Returns None when the walk meets a concave s
     (s'' <= 0) or a step that is not finite, leaves ``seed +- reach``,
@@ -367,7 +331,8 @@ def _descend(system, seed, reach, tol):
         value, far_curve = f(far)
         if downhill * value >= 0.0:
             lo, hi = sorted((near, far))
-            return _newton(f, lo, min(max(near + step, lo), hi), hi, tol)
+            return closed_form.newton(f, lo, min(max(near + step, lo), hi),
+                                      hi, tol)
         if abs(far - seed) >= reach:
             return None
         near, slope, curve = far, value, far_curve
@@ -498,44 +463,52 @@ def branch_window(zeta, zeta_m, x_values, pair_index=1):
     return center - half, center + half
 
 
-def _count_pair_maxima(zeta, zeta_m, pair_index, grid_per_kappa, prominence):
-    lo, hi = pair_window(zeta, zeta_m, pair_index)
-    system = CavitySystem.with_middle(zeta, zeta_m)
-    ks = _grid_for(system, lo, hi, grid_per_kappa)
-    ts = transmission(system, ks)
-    return len(_grid_maxima(ts, prominence))
-
-
-def find_merge_point(zeta, zeta_m_range: Tuple, pair_index=1, rel_tol=1e-3,
-                     grid_per_kappa=50, prominence=1e-9):
+def find_merge_point(zeta, zeta_m_range: Tuple, pair_index=1):
     """Middle-element polarizability at which the two pair maxima merge.
 
-    Counts the local maxima inside the pair window on a grid of step
-    kappa/grid_per_kappa and bisects the 2 -> 1 transition over
-    ``zeta_m_range`` (two same-sign polarizabilities straddling the
-    merge).  Raises :class:`NotBracketedError` when the range does not
-    straddle it.
+    The merge is a fold of s = 1/T - 1 at x = 0: the stationary point of
+    s between the two peaks is a maximum (s'' < 0) below it and the one
+    minimum (s'' > 0) above it.  :func:`closed_form.newton` finds that
+    point (s' = 0) to 1e-6 kappa from the closed-form pair center, taken
+    at the threshold above it, and a second :func:`closed_form.newton`,
+    which has no slope in zeta_m and so bisects, finds the zeta_m where
+    s'' there changes sign over ``zeta_m_range`` (two same-sign
+    polarizabilities straddling the merge) to 1e-12 of the stronger
+    end.  No grid is searched.  Raises :class:`NotBracketedError` when
+    the range does not straddle the merge.
     """
     a, b = float(zeta_m_range[0]), float(zeta_m_range[1])
     if not (math.isfinite(a) and math.isfinite(b)) or a * b <= 0.0:
         raise InvalidParameterError(
             f"zeta_m_range must be two same-sign values, got {zeta_m_range!r}")
-    _check_prominence(prominence)
-    if abs(a) > abs(b):
-        a, b = b, a
+    star = abs(closed_form.coalescence_threshold(zeta))
+    kappa = closed_form.bare_linewidth(zeta)
 
-    def count(zm):
-        return _count_pair_maxima(zeta, zm, pair_index, grid_per_kappa,
-                                  prominence)
+    def curvature(zm):
+        """s'' at the stationary point of s between the pair's peaks."""
+        system = CavitySystem.with_middle(zeta, zm)
+        # the closed-form pair ends at the threshold; above it the one
+        # minimum stays within kappa of the pair center there
+        seed = closed_form.pair_center(
+            zeta, math.copysign(min(abs(zm), star), zm), pair_index)
+        # a maximum of s (s'' < 0) needs -s' to rise through it
+        sign = 1.0 if s_derivatives(system, seed)[2] > 0.0 else -1.0
 
-    if count(a) < 2 or count(b) != 1:
+        def f(k):
+            _, slope, curve = s_derivatives(system, k)
+            return sign * slope, sign * curve
+
+        k = closed_form.newton(f, seed - 4.0 * kappa, seed,
+                               seed + 4.0 * kappa, 1e-6 * kappa)
+        return s_derivatives(system, k)[2]
+
+    weak, strong = sorted((a, b), key=abs)
+    if not curvature(weak) < 0.0 < curvature(strong):
         raise NotBracketedError(
-            f"range [{a}, {b}] does not straddle the merge "
+            f"range [{weak}, {strong}] does not straddle the merge "
             "(need two maxima at the weak end, one at the strong end)")
-    while abs(b - a) > rel_tol * abs(b):
-        mid = 0.5 * (a + b)
-        if count(mid) >= 2:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    lo, hi = sorted((a, b))
+    # s'' rises with |zeta_m|, so with zeta_m itself when zeta_m > 0
+    return closed_form.newton(
+        lambda zm: (math.copysign(1.0, zm) * curvature(zm), 0.0),
+        lo, 0.5 * (lo + hi), hi, 1e-12 * abs(strong))

@@ -288,6 +288,15 @@ class TestOverflowingMirror:
         assert err.startswith("error[invalid-parameter]:")
         assert "overflows" in err
 
+    def test_overflowing_stack_is_inf(self, capsys):
+        # JSON writes a non-finite value as null, so read the CSV row
+        code, out, _ = run_cli(capsys, "stack", "--zeta-element=-1e200",
+                               "--n-layers=3")
+        header, row = out.splitlines()[-2:]
+        assert code == 0
+        assert dict(zip(header.split(","), row.split(",")))["zeta_eff"] == \
+            "inf"
+
     def test_strong_but_finite_stack_threshold(self, capsys):
         code, out, _ = run_cli(capsys, "stack", "--zeta=-1e150",
                                "--spacing-grid=101", "--format", "json")
@@ -654,3 +663,27 @@ class TestRuntimeWithoutScipy:
         assert proc.returncode == 0, proc.stderr
         assert "scipy" not in proc.stderr
         assert proc.stdout.startswith("#")
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*argv):
+        src = os.path.dirname(os.path.dirname(coalesce.__file__))
+        return subprocess.run(
+            [sys.executable, "-m", "coalesce.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+
+    def test_prints_fig1_csv(self):
+        proc = self.run_module("figures", "fig1")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert '# figure = "fig1"' in lines
+        header = next(ln for ln in lines if not ln.startswith("#"))
+        assert header.startswith("k,T_0,")
+
+    def test_unknown_target_exits_nonzero(self):
+        proc = self.run_module("figures", "fig9")
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+

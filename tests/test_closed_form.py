@@ -334,33 +334,42 @@ class TestOracleAgreementWithNumerics:
                                                 abs=1e-6)
 
 
-def scipy_bisect():
-    optimize = pytest.importorskip("scipy.optimize")
-    return optimize.bisect
+def scipy_brentq():
+    return pytest.importorskip("scipy.optimize").brentq
 
 
 class TestBisect:
+    """:func:`closed_form.newton` where it bisects, and the lossless roots.
+
+    The roots are held against SciPy's ``brentq``, run to 1e-15 so that
+    its own error stays far below the 1e-12 compared.
+    """
+
     def test_same_sign_not_bracketed(self):
-        with pytest.raises(NotBracketedError):
-            closed_form.bisect(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        # no root: every value moves the upper end down onto the lower
+        with pytest.raises(NotBracketedError, match="lost its bracket"):
+            closed_form.newton(lambda x: (x * x + 1.0, 2.0 * x),
+                               -1.0, 0.5, 1.0, 1e-12)
 
     def test_step_cap_not_bracketed(self):
-        # the stopping width xtol + 4 eps |x| is out of reach in 100 steps
-        with pytest.raises(NotBracketedError):
-            closed_form.bisect(lambda x: x - 1e-300, 0.0, 1.0, 1e-310)
-        # 2**-101 < 5e-31 < 2**-100: it would stop on step 101
-        with pytest.raises(NotBracketedError):
-            closed_form.bisect(lambda x: x - 1e-40, 0.0, 1.0, 5e-31)
+        # no slope, so bisection: the root at 1e-300 stays out of reach
+        # of a bracket of 4 ulps in 64 values
+        with pytest.raises(NotBracketedError, match="did not converge"):
+            closed_form.newton(lambda x: (x - 1e-300, 0.0), 0.0, 0.5, 1.0,
+                               1e-310)
 
     @pytest.mark.parametrize("xtol", [0.0, -1e-12, float("nan")])
     def test_bad_xtol_refused(self, xtol):
-        # a root at 0 would otherwise run out of steps and blame the bracket
-        with pytest.raises(InvalidParameterError):
-            closed_form.bisect(lambda x: x, -1.0, 2.0, xtol)
+        with pytest.raises(InvalidParameterError, match="tol"):
+            closed_form.newton(lambda x: (x, 1.0), -1.0, 0.5, 2.0, xtol)
 
     def test_endpoint_roots(self):
-        assert closed_form.bisect(lambda x: x - 1.0, 1.0, 2.0, 1e-12) == 1.0
-        assert closed_form.bisect(lambda x: x - 2.0, 1.0, 2.0, 1e-12) == 2.0
+        # a zero at a bracket end is the root, with or without a slope
+        for slope in (1.0, 0.0):
+            assert closed_form.newton(lambda x: (x - 1.0, slope),
+                                      1.0, 1.0, 2.0, 1e-12) == 1.0
+            assert closed_form.newton(lambda x: (x - 2.0, slope),
+                                      1.0, 2.0, 2.0, 1e-12) == 2.0
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(root=st.floats(-10.0, 10.0), below=st.floats(1e-6, 10.0),
@@ -369,46 +378,17 @@ class TestBisect:
            scale=st.sampled_from([1.0, -1.0, 1e-170]))
     def test_same_root_as_scipy_on_lines(self, root, below, above, xtol,
                                          scale):
-        # xtol = 1e-300 leaves the stop to the 4 eps |x| term; the 1e-170
-        # slope makes f(lo) * f(x) underflow to 0 on either side
+        # the 1e-170 slope makes a product of two values underflow to 0;
+        # newton compares signs and takes -f where the line falls
         def f(x):
             return scale * (x - root)
 
         lo, hi = root - below, root + above
-        try:
-            want = scipy_bisect()(f, lo, hi, xtol=xtol)
-        except RuntimeError:   # out of steps: a root near 0, xtol 1e-300
-            with pytest.raises(NotBracketedError):
-                closed_form.bisect(f, lo, hi, xtol)
-        else:
-            assert closed_form.bisect(f, lo, hi, xtol) == want
-
-    def test_stop_rule_edges_as_scipy(self):
-        reference = scipy_bisect()
-        cases = (
-            # dm = 1 meets xtol exactly at xm = 0: the stop needs dm < xtol
-            (lambda x: x - 0.3, -1.0, 1.0, 1.0),
-            # dm = 2**-100 < 1e-30 < 2**-99: converges on the 100th step
-            (lambda x: x - 1e-40, 0.0, 1.0, 1e-30),
-        )
-        for f, lo, hi, xtol in cases:
-            assert (closed_form.bisect(f, lo, hi, xtol)
-                    == reference(f, lo, hi, xtol=xtol))
-
-    def test_endpoint_signs_as_scipy(self):
-        reference = scipy_bisect()
-        for flo, fhi in ((0.0, 1.0), (1.0, 0.0), (-0.0, -1.0), (0.0, 0.0),
-                         (1e-200, -1e-200), (1e-200, 1e-200), (2.0, 3.0)):
-            def f(x, flo=flo, fhi=fhi):
-                return flo if x == 0.0 else fhi if x == 1.0 else x - 0.3
-
-            try:
-                want = reference(f, 0.0, 1.0, xtol=1e-12)
-            except ValueError:
-                with pytest.raises(NotBracketedError):
-                    closed_form.bisect(f, 0.0, 1.0, 1e-12)
-            else:
-                assert closed_form.bisect(f, 0.0, 1.0, 1e-12) == want
+        want = scipy_brentq()(f, lo, hi, xtol=1e-300)
+        sign = math.copysign(1.0, scale)
+        got = closed_form.newton(lambda x: (sign * f(x), abs(scale)),
+                                 lo, lo, hi, xtol)
+        assert got == pytest.approx(want, abs=max(xtol, 1e-14))
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(zeta_m=st.floats(-500.0, -0.01),
@@ -419,30 +399,27 @@ class TestBisect:
         split = mode_splitting(zeta_m)
         lo, hi = TWO_PI - split - width, TWO_PI - 1e-9
         f = _lossless_condition(zeta_m, 0.0)
-        assert (closed_form.bisect(f, lo, hi, xtol=1e-12)
-                == scipy_bisect()(f, lo, hi, xtol=1e-12))
+        want = scipy_brentq()(lambda k: f(k)[0], lo, hi, xtol=1e-15)
+        assert lossless_eigenmodes(zeta_m, 0.0, (lo, hi)) == pytest.approx(
+            want, abs=1e-12)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(zeta_m=st.floats(-400.0, -1.0), x=st.floats(1e-3, 0.2),
            sign=st.sampled_from([-1.0, 1.0]))
     def test_same_root_as_scipy_in_lossless_pair(self, zeta_m, x, sign):
-        def run():
+        # every root newton finds, on the pole-free bracket it was given
+        brentq, ours, pairs = scipy_brentq(), closed_form.newton, []
+
+        def both(f, lo, start, hi, tol):
+            root = ours(f, lo, start, hi, tol)
+            pairs.append((root, brentq(lambda k: f(k)[0], lo, hi,
+                                       xtol=1e-15)))
+            return root
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(closed_form, "newton", both)
             try:
                 lossless_pair(zeta_m, sign * x)
             except NotBracketedError:
                 pass   # the roots found before giving up are still compared
-
-        self.assert_every_call_matches_scipy(run)
-
-    def assert_every_call_matches_scipy(self, run):
-        reference, ours, pairs = scipy_bisect(), closed_form.bisect, []
-
-        def both(f, lo, hi, xtol):
-            root = ours(f, lo, hi, xtol)
-            pairs.append((root, reference(f, lo, hi, xtol=xtol)))
-            return root
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(closed_form, "bisect", both)
-            run()
-        assert pairs and all(a == b for a, b in pairs)
+        assert pairs and all(abs(a - b) <= 1e-12 for a, b in pairs)

@@ -298,6 +298,25 @@ class TestEffectivePolarizability:
             values = effective_polarizability(elements, np.array([2.0, 3.0]))
         assert values.tolist() == [math.inf] * 2
 
+    @pytest.mark.parametrize("work", [None, 0])
+    def test_overflowing_scan_is_inf(self, work, monkeypatch):
+        # as effective_polarizability reports the same stack, on either
+        # kernel, where the product's entries overflow to inf or NaN
+        if work is not None:
+            monkeypatch.setattr(core_scatter, "SCALAR_GRID_WORK", work)
+        with np.errstate(over="ignore", invalid="ignore"):
+            best, spacing = maximize_stack_polarizability(-1e200, 3,
+                                                          n_grid=101)
+        assert best == math.inf
+        assert effective_polarizability(
+            [(0.1, -1e200), (0.1 + spacing, -1e200),
+             (0.1 + 2 * spacing, -1e200)], 2.0 * math.pi) == math.inf
+
+    @pytest.mark.parametrize("n", [2.7, 2.0, "3", None])
+    def test_non_integer_element_count_refused(self, n):
+        with pytest.raises(InvalidParameterError, match="n_elements"):
+            maximize_stack_polarizability(-1.0, n, n_grid=101)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_scalar_and_array_scans_agree(self, n, monkeypatch):
         scalar = maximize_stack_polarizability(-1.3, n, n_grid=4001)

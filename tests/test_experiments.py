@@ -174,6 +174,18 @@ class TestFig3:
         # the pair is seeded from the closed forms at x = 0
         assert searches(monkeypatch, run_fig3_mode_pulling) == ([], [])
 
+    def test_tracked_peaks_are_converged(self):
+        # every seeded peak of the default figure ends on a Newton step,
+        # within 1e-13 of a grid search refined to 1e-12
+        ds = run_fig3_mode_pulling()
+        lo, hi = ds.params["k_window"]
+        for i, x in enumerate(ds.columns["x"]):
+            system = CavitySystem.with_middle(-10.0, -196.6, x)
+            ref = find_peaks(system, lo, hi, refine_tol=1e-12)
+            assert [p.k_peak for p in ref] == pytest.approx(
+                [ds.columns["k_lower"][i], ds.columns["k_upper"][i]],
+                abs=1e-13)
+
 
 class TestTrackResonance:
     def test_lost_peak_is_pair_identification(self):

@@ -27,9 +27,10 @@ from coalesce import (
     tunneling_rate,
     pair_center,
 )
-from coalesce import cli, closed_form, core_scatter, spectrum
+from coalesce import cli, core_scatter, spectrum
 from coalesce.cli import main
-from coalesce.spectrum import _grid_maxima, _newton
+from coalesce.closed_form import newton
+from coalesce.spectrum import _grid_maxima
 
 TWO_PI = 2.0 * math.pi
 SYS_EMPTY = CavitySystem.empty(-10.0)
@@ -161,8 +162,6 @@ class TestFindPeaks:
     def test_prominence_checked(self, prominence):
         with pytest.raises(InvalidParameterError, match="prominence"):
             find_peaks(SYS_PAIR, 6.1, 6.25, prominence=prominence)
-        with pytest.raises(InvalidParameterError, match="prominence"):
-            find_merge_point(-10.0, (-150.0, -250.0), prominence=prominence)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_same_peaks_on_either_kernel_at_the_bound(self, extra,
@@ -230,7 +229,8 @@ class TestPeakHalfwidth:
 
     def test_matches_bisection_of_half_level(self):
         # each side: the first sample below half on a kappa/100 walk out
-        # of the peak, then bisection of T - T_peak/2 to 1e-13
+        # of the peak, then SciPy's brentq on T - T_peak/2 to 1e-13
+        brentq = pytest.importorskip("scipy.optimize").brentq
         for zeta, zm in ((-10.0, -50.0), (-10.0, coalescence_threshold(-10.0)),
                          (-40.0, -700.0)):
             system = CavitySystem.with_middle(zeta, zm)
@@ -246,7 +246,7 @@ class TestPeakHalfwidth:
                 while excess(peak.k_peak + sign * n * step) > 0.0:
                     n += 1
                 ends = sorted(peak.k_peak + sign * m * step for m in (n - 1, n))
-                root = closed_form.bisect(excess, *ends, xtol=1e-13)
+                root = brentq(excess, *ends, xtol=1e-13)
                 sides.append(abs(root - peak.k_peak))
             assert peak_halfwidth(system, peak) == pytest.approx(
                 0.5 * sum(sides), abs=1e-10)
@@ -258,29 +258,45 @@ def double_well(x):
 
 
 class TestNewton:
+    """:func:`closed_form.newton`, the solver of every refinement."""
+
     def test_converges_on_the_minimum(self):
-        assert _newton(double_well, -1.5, -1.2, -0.5, 1e-12) == pytest.approx(
+        assert newton(double_well, -1.5, -1.2, -0.5, 1e-12) == pytest.approx(
             -1.0, abs=1e-12)
 
     def test_never_stops_where_the_slope_is_not_positive(self):
         # x = 0 zeroes s' but maximizes s (s'' = -4); a Newton step of 0
         # there must not count as converged
-        assert _newton(double_well, -1.5, 0.0, 0.5, 1e-12) == pytest.approx(
+        assert newton(double_well, -1.5, 0.0, 0.5, 1e-12) == pytest.approx(
             -1.0, abs=1e-12)
 
     def test_root_beyond_the_bracket_is_not_followed(self):
         # the first Newton step lands on the root at 1.2, outside (0, 1)
         with pytest.raises(NotBracketedError, match="lost its bracket"):
-            _newton(lambda x: (x - 1.2, 1.0), 0.0, 0.99, 1.0, 1e-10)
+            newton(lambda x: (x - 1.2, 1.0), 0.0, 0.99, 1.0, 1e-10)
 
     def test_lost_bracket_raises(self):
         # s' > 0 everywhere: the bracket collapses on the unevaluated end
         with pytest.raises(NotBracketedError, match="lost its bracket"):
-            _newton(lambda x: (1.0, -1.0), 1.0, 1.5, 2.0, 1e-10)
+            newton(lambda x: (1.0, -1.0), 1.0, 1.5, 2.0, 1e-10)
 
     def test_step_cap_raises(self):
         with pytest.raises(NotBracketedError, match="did not converge"):
-            _newton(lambda x: (math.nan, 1.0), 0.0, 0.5, 1.0, 1e-10)
+            newton(lambda x: (math.nan, 1.0), 0.0, 0.5, 1.0, 1e-10)
+
+    def test_ends_on_the_newton_step_inside_a_narrow_bracket(self):
+        # values of both signs at 1.4 and 1.4143 bound a bracket narrower
+        # than tol; the Newton step from the second pins sqrt(2), where
+        # the bracket midpoint is 7e-3 off
+        values = []
+
+        def f(x):
+            values.append(x)
+            return x * x - 2.0, 2.0 * x
+
+        got = newton(f, 1.0, 1.4, 2.0, 0.02)
+        assert len(values) == 2
+        assert got == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
 
 class TestRefinementFailsLoudly:
@@ -539,6 +555,25 @@ class TestFindMergePoint:
             find_merge_point(-10.0, (-120.0, -170.0))
         with pytest.raises(InvalidParameterError):
             find_merge_point(-10.0, (150.0, -250.0))
+
+    @pytest.mark.parametrize("zeta", [-3.0, -10.0, -30.0, -100.0, -1000.0])
+    def test_fold_is_the_closed_form_threshold(self, zeta):
+        star = coalescence_threshold(zeta)
+        for ends in ((0.75, 1.25), (1.25, 0.75)):
+            merge = find_merge_point(zeta, (ends[0] * star, ends[1] * star))
+            assert merge == pytest.approx(star, rel=1e-9)
+
+    def test_no_grid_is_evaluated(self, monkeypatch):
+        calls = []
+
+        def recorded(system, k):
+            calls.append(k)
+            return transmission(system, k)
+
+        monkeypatch.setattr(spectrum, "transmission", recorded)
+        merge = find_merge_point(-10.0, (-150.0, -250.0))
+        assert merge == pytest.approx(coalescence_threshold(-10.0), rel=1e-9)
+        assert not any(isinstance(k, (list, np.ndarray)) for k in calls)
 
 
 def scipy_maxima(x, prominence):
