@@ -7,20 +7,21 @@ Output is CSV (with a '#'-prefixed metadata block echoing all effective
 parameters) or JSON ({"params": ..., "data": ...}); files are written
 atomically.  Effective parameters merge flags > config file > defaults.
 
-Exit codes: 0 success, 2 argument/config parse error, 3 domain error
-(reported on stderr as one line 'error[<token>]: <message>').
+Exit codes: 0 success, 1 stdout closed early (`| head`; stderr stays
+empty), 2 argument/config parse error, 3 domain error (reported on
+stderr as one line 'error[<token>]: <message>').
 
 Importing this module loads no numpy.  `splitting`, `report`,
 `threshold` (without --numeric) and `sensitivity` and --version run on
 the closed forms and the standard library alone.  The trackers (`figures
-fig2`, `figures fig3`, `sweep-x` and `branches` without --kmin/--kmax)
-and the short array commands (`peaks`, `threshold --numeric`, `stack`,
-`figures fig1` and `figures threshold-sweep`) load the numeric modules
-but no numpy: the trackers are seeded from the closed forms, a grid
-within core_scatter.SCALAR_GRID_WORK runs on the scalar kernel, and CSV
-documents of at most _FMT_ROWS rows are formatted cell by cell.
-`spectrum`, a larger grid, a tracker step that falls back to a grid
-search and a longer CSV document load numpy.
+fig2`, `figures fig3`, `figures threshold-sweep`, and `sweep-x` and
+`branches` without --kmin/--kmax) and the short array commands
+(`peaks`, `threshold --numeric`, `stack` and `figures fig1`) load the
+numeric modules but no numpy: the trackers are seeded from the closed
+forms, a grid within core_scatter.SCALAR_GRID_WORK runs on the scalar
+kernel, and CSV documents of at most _FMT_ROWS rows are formatted cell
+by cell.  `spectrum`, a larger grid (a tracker's fallback window may be
+one) and a longer CSV document load numpy.
 """
 
 from __future__ import annotations
@@ -434,16 +435,6 @@ def _csv_head(params, names, annotations):
     return "\n".join(lines) + "\n"
 
 
-def _render_record(params, record):
-    """The CSV document of one record: its header and one row of _fmt cells.
-
-    _fmt is the rule _float_cells reproduces byte for byte, so a record
-    reads as the one-row columns would.
-    """
-    return (_csv_head(params, record, None)
-            + ",".join(map(_fmt, record.values())) + "\n").encode()
-
-
 def _render_csv(params, columns, annotations):
     """Yield the CSV document as bytes: metadata and header, then rows.
 
@@ -482,6 +473,7 @@ def _write(path, chunks):
     if path is None:
         for chunk in chunks:
             sys.stdout.write(chunk.decode())
+        sys.stdout.flush()   # a closed pipe raises here, inside main()
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coalesce-")
@@ -501,9 +493,9 @@ def _emit(values, params, columns=None, record=None, annotations=None):
         if annotations:
             data["annotations"] = dict(annotations)
         chunks = [_render_json(params, data).encode()]
-    elif columns is None:
-        chunks = [_render_record(params, record)]
     else:
+        if columns is None:   # a record is a table of one row
+            columns = {k: [v] for k, v in record.items()}
         chunks = _render_csv(params, columns, annotations)
     _write(values["output"], chunks)
 
@@ -727,6 +719,11 @@ def main(argv=None) -> int:
         columns, record = handler(values)
         _emit(values, params, columns=columns, record=record)
         return 0
+    except BrokenPipeError:
+        # the reader left (`| head`); Python's documented recipe: stdout
+        # to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2

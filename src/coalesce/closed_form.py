@@ -173,9 +173,11 @@ def peak_positions(zeta, zeta_m, n=1):
 
     and reports both pair members in the same period,
     ``k_even = 2 n pi - eps_minus`` and ``k_odd = 2 n pi - eps_plus``,
-    together with the gap |eps_minus - eps_plus|.  Raises
-    :class:`AboveThresholdError` when |zeta_m| exceeds the coalescence
-    threshold (negative discriminant).
+    together with the gap |eps_minus - eps_plus|.  For zeta > 0 the pair
+    is the mirror image at ``2 n pi + eps``: at x = 0, T_zeta(2 n pi + u)
+    = T_-zeta(2 n pi - u), and the cosines are even in (zeta, zeta_m).
+    Raises :class:`AboveThresholdError` when |zeta_m| exceeds the
+    coalescence threshold (negative discriminant).
     """
     z = _finite("zeta", zeta)
     zm = _finite("zeta_m", zeta_m)
@@ -204,7 +206,8 @@ def peak_positions(zeta, zeta_m, n=1):
     eps_p = math.acos(min(1.0, max(-1.0, cos_p)))
     eps_m = math.acos(min(1.0, max(-1.0, cos_m)))
     period = 2.0 * int(n) * math.pi
-    return PairPeaks(k_even=period - eps_m, k_odd=period - eps_p,
+    side = math.copysign(1.0, z)
+    return PairPeaks(k_even=period + side * eps_m, k_odd=period + side * eps_p,
                      gap=abs(eps_m - eps_p))
 
 
@@ -366,8 +369,8 @@ def report(zeta, zeta_m, n=1):
     try:
         pair = peak_positions(zeta, zeta_m, n)
         period = 2.0 * int(n) * math.pi
-        eps_plus = period - pair.k_odd
-        eps_minus = period - pair.k_even
+        eps_plus = abs(period - pair.k_odd)
+        eps_minus = abs(period - pair.k_even)
         gap = pair.gap
     except AboveThresholdError:
         eps_plus = eps_minus = gap = None

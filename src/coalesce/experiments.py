@@ -198,34 +198,40 @@ def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
     The grid must straddle the threshold.  The numeric merge point, the
     fold that :func:`~coalesce.spectrum.find_merge_point` solves between
     the grid's weakest and strongest zeta_m, is echoed in the params.
+    Each row is one :func:`~coalesce.spectrum.track` step at x = 0,
+    seeded with the closed-form pair below zeta_m_star and with one peak
+    at the pair center at zeta_m_star from there up, so the row at
+    zeta_m_star is a single peak by rule.
     """
     star = closed_form.coalescence_threshold(zeta)
     if zeta_m_grid is None:
         zeta_m_grid = tuple(star * s
                             for s in spectrum.linspace(0.75, 1.25, 41))
     zms = [float(z) for z in zeta_m_grid]
+    merge = spectrum.find_merge_point(
+        zeta, (min(zms, key=abs), max(zms, key=abs)), pair_index)
 
     def row(zm):
-        lo, hi = spectrum.pair_window(zeta, zm, pair_index)
-        system = CavitySystem.with_middle(zeta, zm)
-        peaks = spectrum.find_peaks(system, lo, hi)
-        peaks = sorted(peaks, key=lambda p: p.k_peak)[:2]
+        if abs(zm) < abs(star):
+            pair = closed_form.peak_positions(zeta, zm, pair_index)
+            seeds = (pair.k_even, pair.k_odd)
+        else:
+            seeds = (closed_form.pair_center(zeta, star, pair_index),)
+        center = 0.5 * (seeds[0] + seeds[-1])
+        (peaks,) = spectrum.track(zeta, zm, [0.0], center,
+                                  members=len(seeds), seeds=seeds)
         if len(peaks) == 2:
             return (2, peaks[0].k_peak, peaks[0].T_peak,
                     peaks[1].k_peak, peaks[1].T_peak, math.nan)
-        if len(peaks) == 1:
-            pk = peaks[0]
-            try:
-                width = 2.0 * spectrum.peak_halfwidth(system, pk)
-            except EdgeTruncationError:
-                width = math.nan
-            return (1, pk.k_peak, pk.T_peak, math.nan, math.nan, width)
-        return (0, math.nan, math.nan, math.nan, math.nan, math.nan)
+        (pk,) = peaks
+        try:
+            width = 2.0 * spectrum.peak_halfwidth(
+                CavitySystem.with_middle(zeta, zm), pk)
+        except EdgeTruncationError:
+            width = math.nan
+        return (1, pk.k_peak, pk.T_peak, math.nan, math.nan, width)
 
     rows = [row(zm) for zm in zms]
-    weak = min(zms, key=abs)
-    strong = max(zms, key=abs)
-    merge = spectrum.find_merge_point(zeta, (weak, strong), pair_index)
     columns = {
         "zeta_m": _grid(zms),
         "n_peaks": _grid(r[0] for r in rows),

@@ -15,11 +15,12 @@ at most :data:`core_scatter.SCALAR_GRID_WORK`, as every window of a few
 linewidths is; only a larger grid, and :func:`scan_transmission`,
 import numpy.  Everything is a pure function of its inputs: identical
 calls return identical results.  :func:`track` is the one loop that
-follows peaks across displacements of the middle element.  It seeds
-each step from the closed forms and the previous peaks and refines the
-seeds by the same Newton steps, without a grid; only a step whose
-seeded refinement fails a check searches a grid window.
-:func:`find_merge_point` solves the merge as a fold of s, without a grid.
+follows peaks across displacements of the middle element (a threshold
+sweep row is one step at x = 0).  It seeds each step from the closed
+forms and the previous peaks and refines the seeds by the same Newton
+steps, without a grid; only a step whose seeded refinement fails a
+check searches a grid window, sized from kappa.  :func:`find_merge_point`
+solves the merge as a fold of s, without a grid.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "displacements",
     "track",
     "find_merge_point",
-    "pair_window",
     "branch_window",
 ]
 
@@ -434,15 +434,6 @@ def track(zeta, zeta_m, x_values: Sequence, center, half_width=None,
         center = 0.5 * (kept[0].k_peak + kept[-1].k_peak)
         previous, before = [p.k_peak for p in kept], x
     return out
-
-
-def pair_window(zeta, zeta_m, pair_index):
-    """Window isolating the coalescing pair near 2*pair_index*pi."""
-    kappa = closed_form.bare_linewidth(zeta)
-    delta = 0.5 * closed_form.mode_splitting(zeta_m)
-    center = closed_form.bare_resonance(2 * pair_index, zeta) - delta
-    half = min(max(8.0 * kappa, 4.0 * delta), 1.2)
-    return center - half, center + half
 
 
 def branch_window(zeta, zeta_m, x_values, pair_index=1):

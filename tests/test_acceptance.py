@@ -68,13 +68,13 @@ def test_criterion_03_coalescence_threshold():
                       "single, unity, sqrt(2)-broadened"):
         merge = co.find_merge_point(ZETA, (-150.0, -250.0))
         assert -211.0 <= merge <= -191.0
-        assert merge == pytest.approx(STAR, rel=0.05)
+        assert merge == pytest.approx(STAR, rel=1e-9)   # the fold solve
         system = co.CavitySystem.with_middle(ZETA, STAR)
         peaks = co.find_peaks(system, 6.0, 6.35)
         assert len(peaks) == 1
         assert peaks[0].T_peak == pytest.approx(1.0, abs=1e-3)
         fwhm = 2.0 * co.peak_halfwidth(system, peaks[0])
-        assert fwhm == pytest.approx(2.0 * math.sqrt(2.0) * KAPPA, rel=0.05)
+        assert fwhm == pytest.approx(2.0 * math.sqrt(2.0) * KAPPA, rel=5e-5)
 
 
 def test_criterion_04_peak_pulling_oracle():
@@ -87,11 +87,11 @@ def test_criterion_04_peak_pulling_oracle():
         assert len(peaks) == 2
         numeric_gap = peaks[1].k_peak - peaks[0].k_peak
         assert pair.gap == pytest.approx(2.11e-3, rel=5e-3)  # printed value
-        assert numeric_gap == pytest.approx(pair.gap, rel=0.05)
+        assert numeric_gap == pytest.approx(pair.gap, rel=2e-12)
         delta = 0.5 * co.mode_splitting(zeta_m)
         two_mode_gap = 2.0 * math.sqrt(delta ** 2 - KAPPA ** 2)
         assert two_mode_gap == pytest.approx(2.116e-3, rel=5e-3)
-        assert numeric_gap == pytest.approx(two_mode_gap, rel=0.05)
+        assert numeric_gap == pytest.approx(two_mode_gap, rel=2e-3)
         lossless_gap = co.mode_splitting(zeta_m)
         assert lossless_gap == pytest.approx(1.017e-2, rel=5e-3)
         assert lossless_gap > numeric_gap

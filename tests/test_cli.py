@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coalesce
-from coalesce import cli
+from coalesce import cli, closed_form
 from coalesce.cli import load_config, main
 from coalesce.cli import ConfigError
 
@@ -359,6 +359,19 @@ class TestFiguresSubcommand:
             -200.998, rel=0.05)
         assert set(payload["data"]) >= {"zeta_m", "n_peaks", "T_peak_1"}
 
+    @pytest.mark.parametrize("argv", [["threshold", "--numeric"],
+                                      ["figures", "threshold-sweep"]],
+                             ids=" ".join)
+    def test_positive_end_mirrors_merge(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--zeta=10",
+                                 "--format=json")
+        assert code == 0, err
+        payload = json.loads(out)
+        star = closed_form.coalescence_threshold(10.0)
+        merge = (payload["data"] if argv[0] == "threshold"
+                 else payload["params"])["zeta_m_merge"]
+        assert merge == pytest.approx(star, rel=1e-9)
+
 
 def per_cell_rows(columns):
     """CSV data rows by the one-call-per-cell rule the renderer replaces."""
@@ -490,10 +503,12 @@ class TestCsvRenderer:
         math.nan, math.inf, -math.inf, -0.0, 5e-324, None, 0, -7, True,
         False, "peak", np.float64(-0.0), 1.0 / 3.0])
     def test_record_row_matches_column_kernel(self, value):
+        # a record goes out as a table of one row, formatted cell by cell
         record = {"v": value, "x": 2.5, "n": None}
-        want = render_csv({"a": 1}, {k: [v] for k, v in record.items()},
-                          None).encode()
-        assert cli._render_record({"a": 1}, record) == want
+        columns = {k: [v] for k, v in record.items()}
+        assert render_csv({"a": 1}, columns, None,
+                          fmt_rows=cli._FMT_ROWS) == render_csv(
+            {"a": 1}, columns, None)
 
     def test_rows_across_blocks(self):
         # a long column spanning several blocks next to a short one, and
@@ -686,4 +701,20 @@ class TestModuleEntryPoint:
         proc = self.run_module("figures", "fig9")
         assert proc.returncode != 0
         assert proc.stdout == ""
+
+    def test_closed_pipe_exits_quietly(self):
+        # the reader takes one line and leaves, as `| head -1` does; the
+        # rest of fig1 (about 200 kB) overflows the pipe
+        src = os.path.dirname(os.path.dirname(coalesce.__file__))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coalesce.cli", "figures", "fig1"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"# ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in err
+        assert err == b""
 

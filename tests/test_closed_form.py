@@ -305,6 +305,13 @@ class TestReport:
         assert rep.pair_gap == pytest.approx(abs(rep.eps_minus - rep.eps_plus),
                                              rel=1e-12)
 
+    def test_angles_of_positive_end_mirror(self):
+        # the pair sits above 2 pi there; the angles stay arccos values
+        rep, mirror = report(10.0, 196.6), report(-10.0, -196.6)
+        assert rep.eps_plus == pytest.approx(mirror.eps_plus, abs=1e-15)
+        assert rep.eps_minus == pytest.approx(mirror.eps_minus, abs=1e-15)
+        assert rep.pair_gap == mirror.pair_gap
+
     def test_above_threshold_fields_absent(self):
         rep = report(-10.0, -300.0)
         assert rep.eps_plus is None
@@ -324,6 +331,23 @@ class TestOracleAgreementWithNumerics:
         assert len(peaks) == 2
         numeric_gap = peaks[1].k_peak - peaks[0].k_peak
         assert numeric_gap == pytest.approx(pair.gap, rel=0.05)
+
+    @pytest.mark.parametrize("zeta", [3.0, 10.0, 30.0])
+    @pytest.mark.parametrize("fraction", [0.5, 0.75, 0.95])
+    def test_positive_end_mirror_pair_matches_refined_peaks(self, zeta,
+                                                            fraction):
+        # T_zeta(2 pi + u) = T_-zeta(2 pi - u) at x = 0: the pair sits
+        # above 2 pi, the mirror image of the pair at -zeta
+        from coalesce import find_peaks
+        zeta_m = fraction * coalescence_threshold(zeta)
+        pair = peak_positions(zeta, zeta_m)
+        assert TWO_PI < min(pair.k_even, pair.k_odd)
+        center = pair_center(zeta, zeta_m)
+        half = 8.0 * bare_linewidth(zeta) + pair.gap
+        peaks = find_peaks(CavitySystem.with_middle(zeta, zeta_m),
+                           center - half, center + half, refine_tol=1e-12)
+        assert [p.k_peak for p in peaks] == pytest.approx(
+            sorted((pair.k_even, pair.k_odd)), abs=1e-14)
 
     def test_bare_resonance_matches_refined_peak(self):
         from coalesce import find_peaks

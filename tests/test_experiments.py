@@ -8,6 +8,7 @@ import pytest
 from coalesce import (
     AboveThresholdError,
     CavitySystem,
+    InvalidParameterError,
     PairIdentificationError,
     bare_linewidth,
     bare_resonance,
@@ -245,6 +246,33 @@ class TestThresholdSweep:
         monkeypatch.setattr(spectrum, "peak_halfwidth", broken)
         with pytest.raises(RuntimeError, match="not a truncation"):
             run_threshold_sweep(zeta_m_grid=(STAR * 0.9, STAR * 1.1))
+
+    def test_work(self, monkeypatch):
+        # every row is one seeded track step; only the row at exactly
+        # zeta_m_star, whose top is quartic, may fall back to a window
+        grids, fallbacks = searches(monkeypatch, run_threshold_sweep)
+        assert len(fallbacks) <= 1
+        assert len(grids) == len(fallbacks)
+
+    @pytest.mark.parametrize("zeta", [-0.3, -1.0, -3.0, -10.0, -30.0,
+                                      -100.0, -1000.0])
+    def test_threshold_row_is_one_peak(self, zeta):
+        ds = run_threshold_sweep(zeta=zeta)
+        row = ds.columns["zeta_m"].index(ds.params["zeta_m_star"])
+        assert ds.columns["n_peaks"][row] == 1
+
+    @pytest.mark.parametrize("zeta", [3.0, 10.0, 30.0, 100.0])
+    def test_positive_end_mirrors(self, zeta):
+        ds = run_threshold_sweep(zeta=zeta)
+        star = ds.params["zeta_m_star"]
+        assert ds.params["zeta_m_merge"] == pytest.approx(star, rel=1e-9)
+        for zm, n in zip(ds.columns["zeta_m"], ds.columns["n_peaks"]):
+            assert n == (2 if zm < star else 1)
+
+    @pytest.mark.parametrize("zeta_m", [0.0, 5.0])
+    def test_grid_through_zero_refused(self, zeta_m):
+        with pytest.raises(InvalidParameterError):
+            run_threshold_sweep(zeta_m_grid=(zeta_m, STAR * 0.9, STAR * 1.1))
 
     def test_merged_width_reported(self, sweep):
         for n, w in zip(sweep.columns["n_peaks"],
