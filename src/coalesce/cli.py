@@ -189,8 +189,6 @@ _OPTIONS = {
         "n_layers": (int, 2, "number of layers"),
         "k": (float, 2.0 * math.pi, "wavenumber for the stack response"),
         "spacing": (float, None, "fixed spacing (default: optimize)"),
-        "spacing_max": (float, 0.24, "largest spacing scanned"),
-        "spacing_grid": (int, 20001, "spacing grid size"),
     },
     "figures": {
         "zeta": (float, -10.0, "end-mirror polarizability"),
@@ -655,9 +653,8 @@ def _cmd_stack(values):
         elements = [(0.1 + i * spacing, z_el) for i in range(n)]
         zeta_eff = effective_polarizability(elements, values["k"])
     else:
-        zeta_eff, spacing = maximize_stack_polarizability(
-            z_el, n, k=values["k"], spacing_max=values["spacing_max"],
-            n_grid=values["spacing_grid"])
+        zeta_eff, spacing = maximize_stack_polarizability(z_el, n,
+                                                          k=values["k"])
     record = {"zeta_eff": zeta_eff, "spacing": spacing, "n_layers": n}
     if n >= 2:
         record["threshold_per_element"] = closed_form.multilayer_threshold(

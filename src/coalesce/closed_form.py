@@ -173,7 +173,10 @@ def peak_positions(zeta, zeta_m, n=1):
 
     and reports both pair members in the same period,
     ``k_even = 2 n pi - eps_minus`` and ``k_odd = 2 n pi - eps_plus``,
-    together with the gap |eps_minus - eps_plus|.  For zeta > 0 the pair
+    together with the gap |k_even - k_odd|.  Where zeta_m has the sign
+    opposite to zeta and |zeta_m| < 2 |zeta|, the even member lies on
+    the other side, ``k_even = 2 n pi + eps_minus``: it crosses 2 n pi at
+    zeta_m = -2 zeta, where cos(eps_minus) = 1.  For zeta > 0 the pair
     is the mirror image at ``2 n pi + eps``: at x = 0, T_zeta(2 n pi + u)
     = T_-zeta(2 n pi - u), and the cosines are even in (zeta, zeta_m).
     Raises :class:`AboveThresholdError` when |zeta_m| exceeds the
@@ -207,6 +210,11 @@ def peak_positions(zeta, zeta_m, n=1):
     eps_m = math.acos(min(1.0, max(-1.0, cos_m)))
     period = 2.0 * int(n) * math.pi
     side = math.copysign(1.0, z)
+    if z * zm < 0.0 and abs(zm) < 2.0 * abs(z):
+        # cos(eps_minus) = 1 at zeta_m = -2 zeta: the even member crosses
+        # 2 n pi there and sits on the other side for weaker zeta_m
+        return PairPeaks(k_even=period - side * eps_m,
+                         k_odd=period + side * eps_p, gap=eps_m + eps_p)
     return PairPeaks(k_even=period + side * eps_m, k_odd=period + side * eps_p,
                      gap=abs(eps_m - eps_p))
 

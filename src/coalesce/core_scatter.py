@@ -54,9 +54,8 @@ _BLOCK = 16384   # array wavenumbers per block of the bulk kernel
 # loading numpy 0.17 s.  The costliest grid at the bound, 65536 points
 # of one hop, takes 0.11 s on the scalar kernel: less than the import it
 # saves a fresh process, and 0.10 s more than numpy in a process that
-# has loaded it.  The search windows (a few hundred points), fig1 (2001
-# points x 2 hops) and `stack` up to four layers (20001 spacings x 3
-# hops) lie below it.
+# has loaded it.  The search windows (a few hundred points) and fig1
+# (2001 points x 2 hops) lie below it.
 SCALAR_GRID_WORK = 65536
 
 __all__ = [
@@ -311,47 +310,34 @@ def effective_polarizability(elements: Sequence, k):
     return float(val) if np.ndim(k) == 0 else val
 
 
-def maximize_stack_polarizability(zeta, n_elements, k=2.0 * math.pi,
-                                  spacing_max=0.24, n_grid=20001):
-    """Grid search for the uniform spacing maximizing the stack's |r/t|.
+def maximize_stack_polarizability(zeta, n_elements, k=2.0 * math.pi):
+    """The uniform spacing maximizing the stack's |r/t|, and that maximum.
 
-    Builds ``n_elements`` identical scatterers of polarizability ``zeta``
-    separated by a common spacing ``d`` and scans ``n_grid`` spacings
-    ``d`` over ``(0, spacing_max]`` at fixed ``k``, on the scalar kernel
-    or on numpy as :func:`grid` chooses.  Returns ``(zeta_eff, spacing)``
-    for the best spacing found, the first of equal ones; a |r/t| that
+    ``n_elements`` identical scatterers of polarizability ``zeta`` at a
+    common spacing ``d`` reflect most at the centre of their stop band,
+    the phase k*d = pi - (atan(zeta) mod pi), where |r/t| = sinh(N
+    asinh|zeta|).  Returns ``(zeta_eff, spacing)``: |r/t| evaluated by the
+    kernel at that phase, and the spacing in (0, pi/k]; a |r/t| that
     overflows counts as ``inf``, as in :func:`effective_polarizability`.
     For one element the spacing is irrelevant and (|zeta|, 0.0) is
-    returned.  Raises :class:`InvalidParameterError` unless ``zeta`` and
-    ``spacing_max`` > 0 are finite, ``k`` is finite and > 0, and the
-    integers ``n_elements`` >= 1 and ``n_grid`` >= 2.
+    returned.  Raises :class:`InvalidParameterError` unless ``zeta`` is
+    finite, ``k`` is finite and > 0, and ``n_elements`` is an integer
+    >= 1.
     """
     z = _finite("zeta", zeta)
     k = _check_k(float(k))
-    spacing_max = _finite("spacing_max", spacing_max)
     try:
-        n, n_grid = operator.index(n_elements), operator.index(n_grid)
+        n = operator.index(n_elements)
     except TypeError:
         raise InvalidParameterError(
-            "n_elements and n_grid must be integers, got "
-            f"{n_elements!r} and {n_grid!r}") from None
+            f"n_elements must be an integer, got {n_elements!r}") from None
     if n < 1:
         raise InvalidParameterError("n_elements must be >= 1")
-    if n_grid < 2 or spacing_max <= 0:
-        raise InvalidParameterError("need spacing_max > 0 and n_grid >= 2")
     if n == 1:
         return abs(z), 0.0
-    hops = [(1.0, z)] * (n - 1)
-    ds = grid(spacing_max / n_grid, spacing_max, n_grid, n - 1)
-    # unit hops at wavenumbers k*d carry the phases e^{ikd} of every spacing
-    if isinstance(ds, list):
-        vals = [v if math.isfinite(v) else math.inf
-                for v in (abs(_compose(z, hops, k * d)[1]) for d in ds)]
-        i = max(range(n_grid), key=vals.__getitem__)
-        return vals[i], ds[i]
-    import numpy as np
-
-    vals = np.abs(_compose(z, hops, k * ds)[1])
-    vals = np.where(np.isfinite(vals), vals, np.inf)
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(ds[i])
+    # atan(-zeta) rather than pi - (atan(zeta) mod pi) keeps a weak
+    # negative element's phase from rounding to 0
+    phase = math.pi - math.atan(z) if z >= 0 else math.atan(-z)
+    # unit hops at the wavenumber k*d carry the phase e^{ikd}
+    val = abs(_compose(z, [(1.0, z)] * (n - 1), phase)[1])
+    return (val if math.isfinite(val) else math.inf), phase / k

@@ -62,7 +62,8 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
 
     One column per zeta_m over a common k grid, plus per-trace resonance
     markers (the closed-form pair positions: the unshifted even-mode
-    resonance and its partner one splitting below) as annotations.
+    resonance near 2*n*pi and its partner one splitting below, or above
+    for zeta_m > 0) as annotations.
     """
     k_min, k_max = float(k_window[0]), float(k_window[1])
     ks = spectrum.linspace(k_min, k_max, int(n_points))
@@ -77,8 +78,8 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
         split = closed_form.mode_splitting(zm)
         marks = []
         for n in range(1, n_max + 1):
-            even = closed_form.bare_resonance(2 * n, zeta)
-            for mark in (even, even - split):
+            even = closed_form.bare_resonance(2 * n + (zeta > 0), zeta)
+            for mark in (even, even + split if zm > 0 else even - split):
                 if k_min <= mark <= k_max:
                     marks.append(mark)
         annotations[f"markers_{i}"] = _grid(sorted(marks))
@@ -103,7 +104,8 @@ def track_resonance(zeta, zeta_m, x_values: Sequence, pair_index=1):
     """
     xs = spectrum.displacements(x_values)
     pair = closed_form.peak_positions(zeta, zeta_m, pair_index)
-    bare = closed_form.bare_resonance(2 * pair_index, zeta)
+    # for zeta > 0 the even resonance near 2*n*pi has mode index 2n + 1
+    bare = closed_form.bare_resonance(2 * pair_index + (zeta > 0), zeta)
     k0 = min((pair.k_even, pair.k_odd), key=lambda k: abs(k - bare))
     results = [None] * len(xs)
     for order in (sorted((i for i, x in enumerate(xs) if x >= 0),

@@ -112,11 +112,10 @@ class TestJsonOutputs:
 
     def test_stack(self, capsys):
         code, out, _ = run_cli(capsys, "stack", "--zeta-element", "-1",
-                               "--n-layers", "2", "--spacing-grid", "2001",
-                               "--format", "json")
+                               "--n-layers", "2", "--format", "json")
         data = json.loads(out)["data"]
         assert code == 0
-        assert data["zeta_eff"] == pytest.approx(2 * math.sqrt(2), rel=1e-4)
+        assert data["zeta_eff"] == pytest.approx(2 * math.sqrt(2), rel=1e-12)
         assert data["threshold_per_element"] == pytest.approx(10.0, rel=1e-9)
 
     def test_sensitivity_with_membrane_block(self, capsys):
@@ -154,6 +153,18 @@ class TestDisplacementGrid:
         assert code == 3 and out == ""
         assert err.startswith("error[invalid-parameter]:")
         assert err.strip().endswith("got 0.3")
+
+
+class TestPositiveEndMirrors:
+    @pytest.mark.parametrize("argv", [
+        ("figures", "fig2", "--zeta=10"), ("figures", "fig2", "--zeta=30"),
+        ("figures", "fig2", "--zeta=100"),
+        ("sweep-x", "--zeta=30", "--zeta-m=-50", "--xpoints=21")],
+        ids=" ".join)
+    def test_tracked_pair_found(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("#")
 
 
 class TestConfigFile:
@@ -205,6 +216,16 @@ class TestConfigFile:
         assert code == 0
         assert "unknown config key 'mystery_knob'" in err
 
+    def test_retired_stack_scan_keys_warn(self, capsys, tmp_path):
+        cfg = tmp_path / "stack.cfg"
+        cfg.write_text("spacing-max = 0.24\nspacing_grid = 20001\n")
+        code, out, err = run_cli(capsys, "stack", "--config", str(cfg),
+                                 "--format", "json")
+        assert code == 0
+        assert "unknown config key 'spacing_max'" in err
+        assert "unknown config key 'spacing_grid'" in err
+        assert json.loads(out)["data"]["spacing"] == pytest.approx(0.125)
+
     def test_load_config_roundtrip(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("kmin = 5.9\nrefine-tol = 1e-10\n")
@@ -238,7 +259,6 @@ class TestExitCodes:
         assert err.startswith("error[not-bracketed]:")
 
     @pytest.mark.parametrize("argv", [
-        ("stack", "--spacing-max=nan"), ("stack", "--spacing-max=inf"),
         ("stack", "--k=nan"), ("stack", "--k=inf"), ("stack", "--k=-1"),
         ("stack", "--k=0"), ("stack", "--n-layers=1", "--k=nan"),
         ("stack", "--spacing=0.1", "--k=-1"),
@@ -282,8 +302,7 @@ class TestOverflowingMirror:
             -2e300, rel=1e-15)
 
     def test_stack_threshold_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "stack", "--zeta=-1e200",
-                                 "--spacing-grid=101")
+        code, out, err = run_cli(capsys, "stack", "--zeta=-1e200")
         assert code == 3 and out == ""
         assert err.startswith("error[invalid-parameter]:")
         assert "overflows" in err
@@ -299,7 +318,7 @@ class TestOverflowingMirror:
 
     def test_strong_but_finite_stack_threshold(self, capsys):
         code, out, _ = run_cli(capsys, "stack", "--zeta=-1e150",
-                               "--spacing-grid=101", "--format", "json")
+                               "--format", "json")
         assert code == 0
         assert json.loads(out)["data"]["threshold_per_element"] == \
             pytest.approx(1e150, rel=1e-15)
@@ -620,9 +639,10 @@ class TestRuntimeWithoutNumpy:
         assert blocked[-1] == (0, coalesce.__version__ + "\n")
 
     # the short array subcommands: their grids lie below
-    # core_scatter.SCALAR_GRID_WORK.  The `peaks` window holds a pulled
-    # pair and 6 kappa either side of it (684 grid points), as in the
-    # benchmark's `queries` workload.
+    # core_scatter.SCALAR_GRID_WORK, and `stack` evaluates its one
+    # optimal spacing at any layer count.  The `peaks` window holds a
+    # pulled pair and 6 kappa either side of it (684 grid points), as in
+    # the benchmark's `queries` workload.
     SHORT_ARRAYS = [
         ["peaks", "--zeta=-10.606371890891051", "--zeta-m=-174.7416361227954",
          "--kmin=6.153278644910792", "--kmax=6.21363650775691"],
@@ -630,6 +650,7 @@ class TestRuntimeWithoutNumpy:
         ["stack", "--zeta-element=-0.64", "--n-layers=2"],
         ["stack", "--zeta-element=-1.43", "--n-layers=3"],
         ["stack", "--zeta-element=-1.1", "--n-layers=3", "--spacing=0.21"],
+        ["stack", "--zeta-element=-1.3", "--n-layers=8"],
         ["figures", "fig1"],
         ["figures", "threshold-sweep"],
     ]

@@ -241,7 +241,7 @@ class TestResonantTransmission:
         worst = max(abs(p.T_peak
                         - resonant_transmission(float(x), -5.0, p.k_peak))
                     for x, p in zip(xs, tracked))
-        assert worst <= 0.02
+        assert worst <= 1e-6   # measured 9.2e-8
 
 
 class TestLosslessEigenmodes:
@@ -348,6 +348,33 @@ class TestOracleAgreementWithNumerics:
                            center - half, center + half, refine_tol=1e-12)
         assert [p.k_peak for p in peaks] == pytest.approx(
             sorted((pair.k_even, pair.k_odd)), abs=1e-14)
+
+    @pytest.mark.parametrize("zeta, zeta_m", [
+        (-30.0, 50.0), (-30.0, 5.0), (-10.0, 5.0), (30.0, -5.0),
+        (-10.0, 50.0), (10.0, -50.0)])
+    def test_opposite_sign_pair_matches_refined_peaks(self, zeta, zeta_m):
+        # the even member crosses 2 pi at zeta_m = -2 zeta; the first four
+        # lie inside that crossing, the last two beyond it
+        from coalesce import find_peaks
+        pair = peak_positions(zeta, zeta_m)
+        center = pair_center(zeta, zeta_m)
+        half = 8.0 * bare_linewidth(zeta) + pair.gap
+        peaks = find_peaks(CavitySystem.with_middle(zeta, zeta_m),
+                           center - half, center + half, refine_tol=1e-12)
+        assert [p.k_peak for p in peaks] == pytest.approx(
+            sorted((pair.k_even, pair.k_odd)), abs=1e-12)
+        assert pair.gap == pytest.approx(abs(pair.k_even - pair.k_odd),
+                                         abs=1e-15)
+
+    @pytest.mark.parametrize("zeta", [-10.0, 10.0])
+    def test_even_member_crosses_at_minus_two_zeta(self, zeta):
+        # cos(eps_minus) = 1 there, so both sides meet at 2 pi
+        inner = peak_positions(zeta, -2.0 * zeta * (1.0 - 1e-3)).k_even
+        outer = peak_positions(zeta, -2.0 * zeta * (1.0 + 1e-3)).k_even
+        assert peak_positions(zeta, -2.0 * zeta).k_even == TWO_PI
+        assert (inner - TWO_PI) * (outer - TWO_PI) < 0.0
+        assert abs(inner - TWO_PI) == pytest.approx(abs(outer - TWO_PI),
+                                                    rel=0.01)
 
     def test_bare_resonance_matches_refined_peak(self):
         from coalesce import find_peaks

@@ -90,6 +90,20 @@ class TestFig1:
         assert len(peaks) == 1
         assert 0.5 < peaks[0].T_peak < 0.9
 
+    @pytest.mark.parametrize("zeta", [-10.0, 10.0])
+    @pytest.mark.parametrize("zeta_m", [-80.0, -5.0, 5.0, 80.0])
+    def test_markers_are_the_peaks_near_two_pi(self, zeta, zeta_m):
+        # for zeta > 0 the pair sits above 2 pi, one FSR above
+        # bare_resonance(2, zeta); the partner lies on zeta_m's side
+        ds = run_fig1_spectra(zeta=zeta, zeta_m_list=(zeta_m,), n_points=11)
+        marks = [k for k in ds.annotations["markers_0"]
+                 if abs(k - 2.0 * math.pi) < 1.0]
+        peaks = find_peaks(CavitySystem.with_middle(zeta, zeta_m),
+                           2.0 * math.pi - 1.0, 2.0 * math.pi + 1.0)
+        assert len(marks) == len(peaks) == 2
+        for mark, peak in zip(sorted(marks), peaks):
+            assert abs(mark - peak.k_peak) < 0.02
+
     def test_regeneration_is_bit_identical(self):
         a = run_fig1_spectra(n_points=301)
         b = run_fig1_spectra(n_points=301)
@@ -194,6 +208,26 @@ class TestTrackResonance:
         # tracking window as the middle element moves
         with pytest.raises(PairIdentificationError):
             track_resonance(-0.3, -0.59, np.linspace(-0.05, 0.05, 9))
+
+    @pytest.mark.parametrize("zeta", [10.0, 30.0, 100.0])
+    def test_positive_end_mirrors(self, zeta):
+        # the walk starts at the member nearest the even resonance above
+        # 2 pi, bare_resonance(3, zeta), and follows it outward
+        xs = np.linspace(-0.1, 0.1, 21)
+        bare = bare_resonance(3, zeta)
+        for zeta_m in (-0.5, -5.0, -50.0):
+            pair = peak_positions(zeta, zeta_m)
+            tracked = track_resonance(zeta, zeta_m, xs)
+            nearest = min((pair.k_even, pair.k_odd),
+                          key=lambda k: abs(k - bare))
+            assert tracked[10].k_peak == pytest.approx(nearest, abs=1e-12)
+            assert tracked[10].T_peak == pytest.approx(1.0, abs=1e-9)
+
+    def test_positive_end_mirror_follows_the_nearer_member(self):
+        # the pair at zeta = 10, zeta_m = -50 sits at 6.3435 and 6.3822;
+        # the even resonance bare_resonance(3, 10) is 6.3829
+        (peak,) = track_resonance(10.0, -50.0, [0.0])
+        assert peak.k_peak == pytest.approx(6.382225, abs=1e-6)
 
     def test_fig2_work(self, monkeypatch):
         # every step is seeded from the closed forms: no grid search and
