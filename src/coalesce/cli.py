@@ -562,17 +562,11 @@ def _cmd_threshold(values):
 def _cmd_sweep_x(values):
     _load_numerics()
     xs = spectrum.linspace(values["xmin"], values["xmax"], values["xpoints"])
-    tracked = experiments.track_resonance(values["zeta"], values["zeta_m"],
-                                          xs, values["pair_index"])
-    columns = {
-        "x": xs,
-        "k_res": [p.k_peak for p in tracked],
-        "T_num": [p.T_peak for p in tracked],
-        "T_formula": [closed_form.resonant_transmission(x, values["zeta_m"],
-                                                        p.k_peak)
-                      for x, p in zip(xs, tracked)],
-    }
-    return columns, None
+    dataset = experiments.run_fig2_resonant_transmission(
+        values["zeta"], (values["zeta_m"],), xs, values["pair_index"])
+    # the one trace's columns, without fig2's trace suffix
+    return {name.removesuffix("_0"): column
+            for name, column in dataset.columns.items()}, None
 
 
 def _cmd_branches(values):
@@ -581,18 +575,16 @@ def _cmd_branches(values):
     if (values["kmin"] is None) != (values["kmax"] is None):
         raise InvalidParameterError(
             "--kmin and --kmax must be given together (or neither, for "
-            "the automatic window)")
-    seeds = None
+            "the closed-form seeds)")
+    seeds = window = None
     if values["kmin"] is None:
-        lo, hi = spectrum.branch_window(values["zeta"], values["zeta_m"], xs,
-                                        values["pair_index"])
         pair = closed_form.peak_positions(values["zeta"], values["zeta_m"],
                                           values["pair_index"])
         seeds = (pair.k_even, pair.k_odd)
     else:
-        lo, hi = values["kmin"], values["kmax"]
+        window = (values["kmin"], values["kmax"])
     tracked = spectrum.track(values["zeta"], values["zeta_m"], xs,
-                             0.5 * (lo + hi), 0.5 * (hi - lo), seeds=seeds)
+                             seeds=seeds, window=window)
     # a merged pair has one peak and no row
     rows = [(x, pair) for x, pair in zip(xs, tracked) if len(pair) == 2]
     columns = {

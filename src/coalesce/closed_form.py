@@ -291,30 +291,29 @@ def lossless_pair(zeta_m, x, n=1):
     """Both lossless eigenmodes of the coalescing pair near 2*n*pi.
 
     Returns ``(k_lower, k_upper)``.  At x = 0 the unshifted member sits
-    exactly at 2*n*pi (node at the scatterer) and the shifted one at
-    2*n*pi - mode_splitting(zeta_m); for x != 0 both follow from the
-    transcendental condition, bracketed between adjacent cotangent poles.
+    exactly at 2*n*pi (node at the scatterer) and the shifted one
+    mode_splitting(zeta_m) below it, or above it for zeta_m > 0.  For
+    x != 0 both follow from the transcendental condition, bracketed
+    between adjacent cotangent poles within 2 of either x = 0 position:
+    the root nearest 2*n*pi and, of the others, the one nearest the
+    shifted position.
     """
     zm = _finite("zeta_m", zeta_m)
     xv = _finite("x", x)
     if int(n) != n or n < 1:
         raise InvalidParameterError(f"pair index must be an integer >= 1, got {n}")
     target = 2.0 * int(n) * math.pi
+    split = mode_splitting(zm)
+    shifted = target + split if zm > 0.0 else target - split
     if abs(xv) < 1e-9:
-        return target - mode_splitting(zm), target
-    a = 0.5 + xv
-    b = 0.5 - xv
-    poles = []
-    m = 1
-    while m * math.pi / max(a, b) < target + 2.5:
-        for length in (a, b):
-            p = m * math.pi / length
-            if abs(p - target) < 2.5:
-                poles.append(p)
-        m += 1
-    poles = sorted(set(poles))
+        return min(target, shifted), max(target, shifted)
+    lo_edge, hi_edge = min(target, shifted) - 2.0, max(target, shifted) + 2.0
+    # the poles m pi / a and m pi / b of the cotangents between the edges
+    poles = sorted({m * math.pi / length for length in (0.5 + xv, 0.5 - xv)
+                    for m in range(1, int(hi_edge * length / math.pi) + 1)
+                    if m * math.pi / length > lo_edge})
+    edges = [lo_edge, *poles, hi_edge]
     pad = 1e-9
-    edges = [target - 2.0] + poles + [target + 2.0]
     f = _lossless_condition(zm, xv)
     roots = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -327,9 +326,10 @@ def lossless_pair(zeta_m, x, n=1):
         raise NotBracketedError(
             f"could not isolate the eigenmode pair near {target:.6g} "
             f"(found {len(roots)} roots)")
-    roots.sort(key=lambda r: abs(r - target))
-    lo, hi = sorted(roots[:2])
-    return lo, hi
+    unshifted = min(roots, key=lambda r: abs(r - target))
+    roots.remove(unshifted)
+    other = min(roots, key=lambda r: abs(r - shifted))
+    return min(unshifted, other), max(unshifted, other)
 
 
 def multilayer_threshold(zeta, n_layers):

@@ -5,7 +5,10 @@ numeric series (columns), short derived series such as resonance markers
 (annotations), and a full parameter echo sufficient to regenerate the
 dataset bit-identically.  Numeric curves always come with their
 closed-form overlay so the datasets embed their own oracles.  The
-pipelines run serially, one trace after another.
+tracked figures (fig2, fig3 and the threshold sweep) seed
+:func:`~coalesce.spectrum.track` with closed-form peaks at x = 0 and
+leave the walk and its windows to it.  The pipelines run serially, one
+trace after another.
 """
 
 from __future__ import annotations
@@ -95,28 +98,18 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
 def track_resonance(zeta, zeta_m, x_values: Sequence, pair_index=1):
     """Follow the resonant peak of one pair across displacements.
 
-    The walk starts at the pair member closest to the bare even
-    resonance (closed form) and goes outward from x = 0: up through the
-    non-negative displacements, then down through the negative ones.
-    Each walk is one :func:`~coalesce.spectrum.track` of one member,
-    seeded with that closed-form peak at x = 0.  Returns one
-    :class:`~coalesce.spectrum.ResonancePeak` per x, in input order.
+    The one :func:`~coalesce.spectrum.track` member is seeded with the
+    pair member at x = 0 closest to the bare even resonance (closed
+    form).  Returns one :class:`~coalesce.spectrum.ResonancePeak` per x,
+    in input order.
     """
     xs = spectrum.displacements(x_values)
     pair = closed_form.peak_positions(zeta, zeta_m, pair_index)
     # for zeta > 0 the even resonance near 2*n*pi has mode index 2n + 1
     bare = closed_form.bare_resonance(2 * pair_index + (zeta > 0), zeta)
     k0 = min((pair.k_even, pair.k_odd), key=lambda k: abs(k - bare))
-    results = [None] * len(xs)
-    for order in (sorted((i for i, x in enumerate(xs) if x >= 0),
-                         key=lambda i: xs[i]),
-                  sorted((i for i, x in enumerate(xs) if x < 0),
-                         key=lambda i: -xs[i])):
-        tracked = spectrum.track(zeta, zeta_m, [xs[i] for i in order], k0,
-                                 members=1, grid_per_kappa=25, seeds=(k0,))
-        for i, (peak,) in zip(order, tracked):
-            results[i] = peak
-    return results
+    return [peak for (peak,) in spectrum.track(zeta, zeta_m, xs,
+                                               seeds=(k0,))]
 
 
 def run_fig2_resonant_transmission(zeta=DEFAULT_ZETA,
@@ -151,27 +144,19 @@ def run_fig2_resonant_transmission(zeta=DEFAULT_ZETA,
 
 
 def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=FIG3_ZETA_M,
-                          x_grid=None, k_window=None, pair_index=1):
+                          x_grid=None, pair_index=1):
     """Avoided crossing of the pair: pulled peaks vs lossless eigenmodes.
 
     Columns: the numerically tracked pulled branches (with heights) and
     the perfect-mirror eigenmode branches, all against displacement.
+    The tracker is seeded with the closed-form pair at x = 0.
     """
     if x_grid is None:
         x_grid = spectrum.linspace(-0.003, 0.003, 201)
-    xs = [float(x) for x in x_grid]
-    seeds = None
-    if k_window is None:
-        k_window = spectrum.branch_window(zeta, zeta_m, xs, pair_index)
-        pair = closed_form.peak_positions(zeta, zeta_m, pair_index)
-        seeds = (pair.k_even, pair.k_odd)
-    else:
-        # the pair must exist, as for the default window
-        closed_form.pair_center(zeta, zeta_m, pair_index)
-    lo, hi = float(k_window[0]), float(k_window[1])
-    tracked = spectrum.track(zeta, zeta_m, xs, 0.5 * (lo + hi),
-                             0.5 * (hi - lo), seeds=seeds)
-    if any(len(pair) != 2 for pair in tracked):
+    xs = spectrum.displacements(x_grid)
+    pair = closed_form.peak_positions(zeta, zeta_m, pair_index)
+    tracked = spectrum.track(zeta, zeta_m, xs, seeds=(pair.k_even, pair.k_odd))
+    if any(len(peaks) != 2 for peaks in tracked):
         raise InvalidParameterError(
             "pair merged inside the displacement grid; shrink |x| or "
             "reduce |zeta_m|")
@@ -187,7 +172,6 @@ def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=FIG3_ZETA_M,
     }
     params = {"zeta": float(zeta), "zeta_m": float(zeta_m),
               "x_grid": [float(x) for x in xs],
-              "k_window": [lo, hi],
               "pair_index": int(pair_index),
               "version": __version__}
     return FigureDataset(name="fig3_mode_pulling", columns=columns,
@@ -219,9 +203,7 @@ def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
             seeds = (pair.k_even, pair.k_odd)
         else:
             seeds = (closed_form.pair_center(zeta, star, pair_index),)
-        center = 0.5 * (seeds[0] + seeds[-1])
-        (peaks,) = spectrum.track(zeta, zm, [0.0], center,
-                                  members=len(seeds), seeds=seeds)
+        (peaks,) = spectrum.track(zeta, zm, [0.0], seeds=seeds)
         if len(peaks) == 2:
             return (2, peaks[0].k_peak, peaks[0].T_peak,
                     peaks[1].k_peak, peaks[1].T_peak, math.nan)

@@ -16,11 +16,14 @@ linewidths is; only a larger grid, and :func:`scan_transmission`,
 import numpy.  Everything is a pure function of its inputs: identical
 calls return identical results.  :func:`track` is the one loop that
 follows peaks across displacements of the middle element (a threshold
-sweep row is one step at x = 0).  It seeds each step from the closed
-forms and the previous peaks and refines the seeds by the same Newton
-steps, without a grid; only a step whose seeded refinement fails a
-check searches a grid window, sized from kappa.  :func:`find_merge_point`
-solves the merge as a fold of s, without a grid.
+sweep row is one step at x = 0).  It starts from one or two seeds at
+x = 0, or from a window, walks outward from x = 0 and refines each
+step's prediction by the same Newton steps, without a grid.  Only a
+window walk's first step and a step whose refinement fails a check
+search a grid window: the previous peaks padded by a few kappa, or the
+given window's width.
+:func:`find_merge_point` solves the merge as a fold of s, without a
+grid.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ __all__ = [
     "displacements",
     "track",
     "find_merge_point",
-    "branch_window",
 ]
 
 _MAX_GRID_POINTS = 5_000_000
@@ -361,49 +363,66 @@ def _seeded_step(system, seeds, previous, reach, tol):
     return kept
 
 
-def track(zeta, zeta_m, x_values: Sequence, center, half_width=None,
-          members=2, grid_per_kappa=50, refine_tol=1e-10, prominence=1e-9,
-          seeds=None):
-    """Follow the ``members`` peaks nearest a moving center across x.
+def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
+    """Follow one peak or a pair across the displacements ``x_values``.
 
-    The displacements are checked first, then visited in input order.
-    Each step is seeded with a prediction from the previous peaks, and
-    the first from ``seeds``, the members' k at x = 0 from the closed
-    forms: a lone peak stays put, a pair moves along the two-mode
-    branches of :func:`two_mode.branch_frequencies`.  :func:`_descend`
-    refines each seed within reach = min(0.35, 2 kappa + 2 g |dx|) of
-    it, g the tunneling rate at ``center``, and :func:`_seeded_step`
-    checks the result.  When a check fails, when no seeds are given,
-    or after a step that kept fewer than ``members`` peaks, the step
-    falls back to :func:`find_peaks` over ``center +- half_width``
-    (``half_width`` None: min(0.35, 8 kappa + 2 g |dx|)) and keeps the
-    ``members`` peaks nearest the center.  These window searches are
-    the tracker's only calls to :func:`find_peaks`, so counting those
-    counts the fallbacks.  Either way the peaks are sorted by k and
-    the center moves to their midpoint (the peak itself when one is
-    kept).
+    Takes exactly one of ``seeds``, the one or two peaks at x = 0 (their
+    count is the member count), or ``window``, a ``(k_min, k_max)`` that
+    holds the pair at x = 0 (two members, unseeded).  The displacements
+    are checked first.  Two walks go outward from x = 0, each starting
+    from the seeds or the window: up through x >= 0, then down through
+    x < 0.  Each step predicts its peaks from the previous ones: a lone
+    peak stays put, a pair moves along the two-mode branches of
+    :func:`two_mode.branch_frequencies`.  :func:`_descend` refines each
+    prediction within reach = min(0.35, 2 kappa + 2 g |dx|) of it, g the
+    tunneling rate at the first center, and :func:`_seeded_step` checks
+    the result.  A step whose check fails, or without as many previous
+    peaks as members (a window walk's first step, a step after a merge),
+    calls :func:`find_peaks` instead: seeded, over the previous peaks'
+    span plus min(0.35, 8 kappa + 2 g |dx|) on each side; with a window,
+    over its width around the previous peaks' midpoint (the window
+    itself at first), keeping the members nearest that midpoint.  These
+    are the tracker's only calls to :func:`find_peaks`, so counting
+    those counts the fallbacks.
 
-    Returns one tuple of :class:`ResonancePeak` per x; it holds a single
-    peak where a pair has merged.  Raises
-    :class:`PairIdentificationError` if a window search loses the peaks,
-    or if two kept peaks are more than one free spectral range apart
-    (the window captured the wrong pair).
+    Returns one tuple of :class:`ResonancePeak`, sorted by k, per x in
+    input order; it holds a single peak where a pair has merged.  Raises
+    :class:`InvalidParameterError` unless exactly one of ``seeds`` and
+    ``window`` is given, and :class:`PairIdentificationError` if a
+    search loses the peaks, or if two kept peaks are more than one free
+    spectral range apart (the search captured the wrong pair).
     """
     xs = displacements(x_values)
-    center = float(center)
+    if (seeds is None) == (window is None):
+        raise InvalidParameterError(
+            "track takes seeds or a window: exactly one of the two")
+    if seeds is None:
+        lo, hi = _window(*window)
+        start, members = [], 2
+        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    else:
+        start = sorted(map(float, seeds))
+        if len(start) not in (1, 2) or not all(map(math.isfinite, start)):
+            raise InvalidParameterError(
+                f"seeds must be one or two finite peaks, got {seeds!r}")
+        members = len(start)
+        center, half = 0.5 * (start[0] + start[-1]), None
     kappa = closed_form.bare_linewidth(zeta)
     g_m = two_mode.tunneling_rate(zeta_m, center)
     model = two_mode.TwoModeParams(
         omega=center, delta=0.5 * closed_form.mode_splitting(zeta_m),
         kappa=kappa, g_m=g_m)
-    previous = None if seeds is None else sorted(map(float, seeds))
-    before = 0.0
-    out = []
-    for x in xs:
+    previous, before, mid = start, 0.0, center
+    out = [None] * len(xs)
+    # x >= 0 ascending, then x < 0 descending
+    for i in sorted(range(len(xs)), key=lambda i: (xs[i] < 0.0, abs(xs[i]))):
+        x = xs[i]
+        if x < 0.0 <= before:   # the second walk starts from x = 0 again
+            previous, before, mid = start, 0.0, center
         system = CavitySystem.with_middle(zeta, zeta_m, x)
         motion = 2.0 * g_m * abs(x - before)
         kept = None
-        if previous is not None and len(previous) == members:
+        if len(previous) == members:
             guesses = previous
             if members == 2:
                 branches = (two_mode.branch_frequencies(model, before),
@@ -412,46 +431,28 @@ def track(zeta, zeta_m, x_values: Sequence, center, half_width=None,
                     guesses = [k + new - old for k, old, new
                                in zip(previous, *branches)]
             kept = _seeded_step(system, guesses, previous,
-                                min(0.35, 2.0 * kappa + motion), refine_tol)
+                                min(0.35, 2.0 * kappa + motion), 1e-10)
         if kept is None:
-            half = (min(0.35, 8.0 * kappa + motion) if half_width is None
-                    else float(half_width))
-            peaks = find_peaks(system, center - half, center + half,
-                               grid_per_kappa=grid_per_kappa,
-                               refine_tol=refine_tol, prominence=prominence)
+            if half is None:
+                pad = min(0.35, 8.0 * kappa + motion)
+                peaks = find_peaks(system, previous[0] - pad,
+                                   previous[-1] + pad)
+            else:
+                peaks = find_peaks(system, mid - half, mid + half)
             if not peaks:
                 raise PairIdentificationError(
                     f"tracking window lost the peak at x = {x}")
-            kept = sorted(peaks,
-                          key=lambda p: abs(p.k_peak - center))[:members]
+            kept = sorted(peaks, key=lambda p: abs(p.k_peak - mid))[:members]
             kept.sort(key=lambda p: p.k_peak)
         gap = kept[-1].k_peak - kept[0].k_peak
         if gap > math.pi * (1.0 + 1e-9):
             raise PairIdentificationError(
                 f"peaks at x = {x} are {gap:.6g} apart, more than one "
                 "free spectral range; window captured the wrong pair")
-        out.append(tuple(kept))
-        center = 0.5 * (kept[0].k_peak + kept[-1].k_peak)
+        out[i] = tuple(kept)
+        mid = 0.5 * (kept[0].k_peak + kept[-1].k_peak)
         previous, before = [p.k_peak for p in kept], x
     return out
-
-
-def branch_window(zeta, zeta_m, x_values, pair_index=1):
-    """Window holding both pulled branches of the pair over an x grid.
-
-    Centered on the pair center, it spans 1.3 times the largest two-mode
-    half-splitting sqrt(delta**2 + (g_m x)**2) on the grid plus 4 kappa,
-    and at least 8 kappa either side.  The displacements are checked
-    as in :func:`track`.
-    """
-    xmax = max(map(abs, displacements(x_values)), default=0.0)
-    center = closed_form.pair_center(zeta, zeta_m, pair_index)
-    kappa = closed_form.bare_linewidth(zeta)
-    delta = 0.5 * closed_form.mode_splitting(zeta_m)
-    g_m = two_mode.tunneling_rate(zeta_m, center)
-    half = max(8.0 * kappa,
-               1.3 * math.sqrt(delta ** 2 + (g_m * xmax) ** 2) + 4 * kappa)
-    return center - half, center + half
 
 
 def find_merge_point(zeta, zeta_m_range: Tuple, pair_index=1):

@@ -152,7 +152,8 @@ def test_criterion_07_sensitivity_consistency():
         h = rep.x_small_bound / 10.0
 
         def upper_branch(x):
-            (pair,) = co.track(ZETA, zeta_m, [x], omega, 6 * KAPPA)
+            (pair,) = co.track(ZETA, zeta_m, [x],
+                               window=(omega - 6 * KAPPA, omega + 6 * KAPPA))
             return pair[1].k_peak
 
         k_0, k_p, k_m = upper_branch(0.0), upper_branch(h), upper_branch(-h)

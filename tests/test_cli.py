@@ -137,6 +137,18 @@ class TestBranchesContract:
         assert body[0] == "x,k_lower,k_upper,T_lower,T_upper"
         assert len(body) == 1 + 3
 
+    def test_window_walks_outward_from_zero(self, capsys):
+        # above threshold the pair is merged at x = 0 and splits as the
+        # element moves; both walks start at x = 0 from the window, so
+        # neither loses the pair at the grid's far end
+        code, out, err = run_cli(capsys, "branches", "--zeta-m=-300",
+                                 "--kmin=6.1", "--kmax=6.3", "--xmin=-0.01",
+                                 "--xmax=0.01", "--xpoints=41",
+                                 "--format=json")
+        assert code == 0 and err == ""
+        xs = json.loads(out)["data"]["x"]
+        assert len(xs) == 40 and 0.0 not in xs
+
     @pytest.mark.parametrize("bound", ["--kmin=6.17", "--kmax=6.23"])
     def test_lone_window_bound_refused(self, capsys, bound):
         code, out, err = run_cli(capsys, "branches", "--xpoints", "3", bound)

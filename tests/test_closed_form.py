@@ -276,6 +276,28 @@ class TestLosslessEigenmodes:
         gap0 = mode_splitting(-196.6)
         assert hi - lo > gap0  # displacement widens the avoided crossing
 
+    @pytest.mark.parametrize("zeta_m", [-5.0, 2.0, 50.0])
+    def test_x0_shortcut_is_continuous(self, zeta_m):
+        # the shifted member sits below 2 pi for zeta_m < 0, above it
+        # for zeta_m > 0, on both sides of the x = 0 shortcut
+        at_zero = lossless_pair(zeta_m, 0.0)
+        for x in (1e-8, -1e-8):
+            assert lossless_pair(zeta_m, x) == pytest.approx(at_zero,
+                                                             abs=1e-6)
+
+    @pytest.mark.parametrize("x", [0.0, 1e-3, 0.1])
+    def test_transparent_middle_keeps_the_bare_modes(self, x):
+        # zeta_m = 0: the modes stay at m pi for every x; the shifted
+        # member lies a splitting of pi from 2 pi, beyond 2 pi +- 2
+        assert lossless_pair(0.0, x) == pytest.approx((math.pi, TWO_PI),
+                                                      abs=1e-12)
+
+    def test_weak_middle_finds_the_far_member(self):
+        # |zeta_m| < 0.642: the splitting 2 atan(1/|zeta_m|) exceeds 2
+        lo, hi = lossless_pair(-0.5, 1e-3)
+        assert lo == pytest.approx(TWO_PI - mode_splitting(-0.5), abs=1e-3)
+        assert hi == pytest.approx(TWO_PI, abs=1e-3)
+
 
 class TestMultilayerThreshold:
     def test_frozen_values(self):

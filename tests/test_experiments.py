@@ -1,5 +1,6 @@
 """Figure pipelines: embedded oracles, regeneration, threshold sweep."""
 
+import json
 import math
 
 import numpy as np
@@ -26,9 +27,11 @@ from coalesce import (
     tunneling_rate,
 )
 from coalesce import spectrum
+from coalesce.cli import main
 from coalesce.experiments import track_resonance
 
 STAR = coalescence_threshold(-10.0)
+TWO_PI = 2.0 * math.pi
 
 
 @pytest.fixture(scope="module")
@@ -168,16 +171,48 @@ class TestFig3:
             slope = np.polyfit(xs[edge], ks, 1)[0]
             assert slope == pytest.approx(g_m, rel=0.05)
 
-    def test_above_threshold_refused_with_explicit_window(self):
+    def test_above_threshold_refused(self):
         with pytest.raises(AboveThresholdError):
-            run_fig3_mode_pulling(zeta_m=1.5 * STAR, k_window=(6.1, 6.3))
+            run_fig3_mode_pulling(zeta_m=1.5 * STAR)
 
-    def test_default_window_is_branch_window(self):
-        # the figure and the `branches` command share this window
-        grid = np.linspace(-0.003, 0.003, 201)
-        window = spectrum.branch_window(-10.0, -196.6, grid)
-        assert run_fig3_mode_pulling(x_grid=grid).params["k_window"] == [
-            window[0], window[1]]
+    def test_params_regenerate_the_figure(self):
+        grid = np.linspace(-0.001, 0.001, 7)
+        ds = run_fig3_mode_pulling(x_grid=grid)
+        assert set(ds.params) == {"zeta", "zeta_m", "x_grid", "pair_index",
+                                  "version"}
+        kwargs = {k: v for k, v in ds.params.items() if k != "version"}
+        assert run_fig3_mode_pulling(**kwargs) == ds
+
+    def test_branches_command_matches_figure(self, capsys):
+        # the figure and the `branches` command seed the same tracker
+        ds = run_fig3_mode_pulling()
+        assert main(["branches", "--format=json"]) == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        for name in ("x", "k_lower", "k_upper", "T_lower", "T_upper"):
+            assert data[name] == list(ds.columns[name])
+
+    def test_weak_middle_element(self):
+        # the shifted lossless member lies 2 atan(1/0.5) = 2.21 below 2 pi
+        ds = run_fig3_mode_pulling(zeta_m=-0.5)
+        i0 = ds.columns["x"].index(0.0)
+        assert ds.columns["k_lossless_lower"][i0] == pytest.approx(
+            TWO_PI - mode_splitting(-0.5), abs=1e-12)
+        for k in ds.columns["k_lossless_lower"]:
+            assert k == pytest.approx(TWO_PI - mode_splitting(-0.5),
+                                      abs=1e-3)
+
+    def test_positive_middle_element_lossless_row_at_zero(self):
+        # zeta_m > 0 shifts the partner above 2 pi; the x = 0 row lies
+        # within a twentieth of the splitting of its neighbours (the
+        # partner on the wrong side lay a whole splitting away)
+        ds = run_fig3_mode_pulling(zeta=10.0, zeta_m=196.6,
+                                   x_grid=[-1e-4, 0.0, 1e-4])
+        near = 0.05 * mode_splitting(196.6)
+        for name in ("k_lossless_lower", "k_lossless_upper"):
+            column = ds.columns[name]
+            assert column[1] == pytest.approx(column[0], abs=near)
+            assert column[1] == pytest.approx(column[2], abs=near)
+        assert ds.columns["k_lossless_lower"][1] == TWO_PI
 
     def test_regeneration_is_bit_identical(self):
         grid = np.linspace(-0.001, 0.001, 7)
@@ -193,13 +228,13 @@ class TestFig3:
         # every seeded peak of the default figure ends on a Newton step,
         # within 1e-13 of a grid search refined to 1e-12
         ds = run_fig3_mode_pulling()
-        lo, hi = ds.params["k_window"]
+        margin = 8.0 * bare_linewidth(-10.0)
         for i, x in enumerate(ds.columns["x"]):
             system = CavitySystem.with_middle(-10.0, -196.6, x)
-            ref = find_peaks(system, lo, hi, refine_tol=1e-12)
-            assert [p.k_peak for p in ref] == pytest.approx(
-                [ds.columns["k_lower"][i], ds.columns["k_upper"][i]],
-                abs=1e-13)
+            pair = [ds.columns["k_lower"][i], ds.columns["k_upper"][i]]
+            ref = find_peaks(system, pair[0] - margin, pair[1] + margin,
+                             refine_tol=1e-12)
+            assert [p.k_peak for p in ref] == pytest.approx(pair, abs=1e-13)
 
 
 class TestTrackResonance:

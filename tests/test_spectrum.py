@@ -355,14 +355,11 @@ class TestWorkCounts:
         assert sum(calls) <= 8 * len(peaks)
 
 
-def window(lo, hi):
-    """(center, half_width) of the k window [lo, hi], as `track` takes it."""
-    return 0.5 * (lo + hi), 0.5 * (hi - lo)
-
-
 class TestTrackBranches:
+    """Two members tracked from a window at x = 0."""
+
     def test_gap_at_center_matches_closed_form(self):
-        pairs = track(-10.0, -196.6, [0.0], *window(6.13, 6.23))
+        pairs = track(-10.0, -196.6, [0.0], window=(6.13, 6.23))
         assert len(pairs) == 1 and len(pairs[0]) == 2
         lower, upper = pairs[0]
         gap = upper.k_peak - lower.k_peak
@@ -374,13 +371,13 @@ class TestTrackBranches:
         center = pair_center(-10.0, -196.6)
         g_m = tunneling_rate(-196.6, center)
         pairs = track(-10.0, -196.6, [0.0, 0.0015, x],
-                      *window(center - 0.06, center + 0.06))
+                      window=(center - 0.06, center + 0.06))
         lower, upper = pairs[-1]
         gap = upper.k_peak - lower.k_peak
         assert gap == pytest.approx(2.0 * g_m * x, rel=0.02)
 
     def test_transparent_middle_keeps_bare_fsr(self):
-        pairs = track(-10.0, 0.0, [0.0, 0.01, 0.02], *window(2.7, 6.5))
+        pairs = track(-10.0, 0.0, [0.0, 0.01, 0.02], window=(2.7, 6.5))
         for lower, upper in pairs:
             assert upper.k_peak - lower.k_peak == pytest.approx(math.pi,
                                                                 abs=1e-6)
@@ -389,7 +386,7 @@ class TestTrackBranches:
     def test_branch_continuity(self):
         xs = np.linspace(-0.002, 0.002, 21)
         center = pair_center(-10.0, -196.6)
-        pairs = track(-10.0, -196.6, xs, *window(center - 0.05, center + 0.05))
+        pairs = track(-10.0, -196.6, xs, window=(center - 0.05, center + 0.05))
         assert [len(p) for p in pairs] == [2] * len(xs)
         g_m = tunneling_rate(-196.6, center)
         dx = xs[1] - xs[0]
@@ -404,7 +401,7 @@ class TestTrackBranches:
         zm = -202.0
         center = bare_resonance(2, -10.0) - 0.5 * mode_splitting(zm)
         xs = [0.0, 2e-5, 2e-4]
-        tracked = track(-10.0, zm, xs, *window(center - 0.05, center + 0.05))
+        tracked = track(-10.0, zm, xs, window=(center - 0.05, center + 0.05))
         pair_xs = [x for x, p in zip(xs, tracked) if len(p) == 2]
         assert 0 < len(pair_xs) < len(xs)
         assert all(abs(x) > 1e-5 for x in pair_xs)
@@ -412,56 +409,93 @@ class TestTrackBranches:
     def test_wrong_pair_detected(self):
         # window spanning two different coalescing pairs
         with pytest.raises(PairIdentificationError):
-            track(-10.0, -196.6, [0.0], *window(5.95, 12.69))
+            track(-10.0, -196.6, [0.0], window=(5.95, 12.69))
 
     def test_displacement_bound(self):
         with pytest.raises(InvalidParameterError):
-            track(-10.0, -196.6, [0.3], *window(6.1, 6.3))
+            track(-10.0, -196.6, [0.3], window=(6.1, 6.3))
 
 
-@pytest.mark.parametrize("members", [1, 2])
+def start(mode, center, half):
+    """``track``'s start: one seed at ``center``, or the window around it."""
+    if mode == "seeds":
+        return {"seeds": (center,)}
+    return {"window": (center - half, center + half)}
+
+
+@pytest.mark.parametrize("mode", ["seeds", "window"])
 class TestTrack:
-    def test_lost_peak(self, members):
+    def test_lost_peak(self, mode):
         # nothing resonates within 0.35 of k = 4.7 at zeta_m = -50
         with pytest.raises(PairIdentificationError, match="x = 0.0"):
-            track(-10.0, -50.0, [0.0], 4.7, 0.35, members=members)
+            track(-10.0, -50.0, [0.0], **start(mode, 4.7, 0.35))
 
-    def test_merged_pair_is_one_peak(self, members):
+    def test_merged_pair_is_one_peak(self, mode):
         # above threshold the pair is one peak at x = 0 and 2e-5 and
-        # separates at 2e-4, where only two members keep both peaks
+        # separates at 2e-4, where only two members (a window) keep both
         zm = -202.0
         center = bare_resonance(2, -10.0) - 0.5 * mode_splitting(zm)
-        tracked = track(-10.0, zm, [0.0, 2e-5, 2e-4], center, 0.05,
-                        members=members)
-        assert [len(p) for p in tracked] == [1, 1, members]
+        tracked = track(-10.0, zm, [0.0, 2e-5, 2e-4],
+                        **start(mode, center, 0.05))
+        assert [len(p) for p in tracked] == [1, 1, 1 if mode == "seeds" else 2]
         assert all(isinstance(p, tuple) for p in tracked)
         for peaks in tracked:
             assert [q.k_peak for q in peaks] == sorted(q.k_peak
                                                        for q in peaks)
 
-    def test_wrong_pair(self, members):
-        # the window reaches the pairs near 2 pi and 4 pi, and its
-        # center lies about half-way: two members are a wrong pair,
-        # one member is the single peak nearest the center
-        center, half = window(5.95, 12.69)
-        if members == 2:
-            with pytest.raises(PairIdentificationError, match="apart"):
-                track(-10.0, -196.6, [0.0], center, half, members=members)
+    def test_wrong_pair(self, mode):
+        # a window reaching the pairs near 2 pi and 4 pi, or seeds on one
+        # member of each: the two members are more than an FSR apart
+        if mode == "seeds":
+            where = {"seeds": (peak_positions(-10.0, -196.6, 1).k_even,
+                               peak_positions(-10.0, -196.6, 2).k_even)}
         else:
-            ((peak,),) = track(-10.0, -196.6, [0.0], center, half,
-                               members=members)
-            assert peak.k_peak == pytest.approx(
-                pair_center(-10.0, -196.6), abs=0.01)
+            where = {"window": (5.95, 12.69)}
+        with pytest.raises(PairIdentificationError, match="apart"):
+            track(-10.0, -196.6, [0.0], **where)
 
     @pytest.mark.parametrize("x", [0.25, -0.25, 0.3, math.nan])
-    def test_displacement_checked_before_any_search(self, members, x,
+    def test_displacement_checked_before_any_search(self, mode, x,
                                                     monkeypatch):
         def no_search(*_args, **_kwargs):
             raise AssertionError("searched before checking the grid")
 
         monkeypatch.setattr(spectrum, "find_peaks", no_search)
         with pytest.raises(InvalidParameterError, match=f"got {x}"):
-            track(-10.0, -196.6, [0.0, x], 6.18, 0.05, members=members)
+            track(-10.0, -196.6, [0.0, x], **start(mode, 6.18, 0.05))
+
+    def test_unsorted_grid_keeps_input_order(self, mode):
+        # the walks go outward from x = 0 whatever the input order, so a
+        # shuffled grid gives the sorted grid's peaks, bit for bit
+        pair = peak_positions(-10.0, -196.6)
+        where = ({"seeds": (pair.k_even, pair.k_odd)} if mode == "seeds"
+                 else {"window": (6.13, 6.23)})
+        xs = [0.002, -0.001, 0.0, 0.003, -0.003, 0.001, -0.002]
+        ordered = sorted(xs)
+        got = track(-10.0, -196.6, xs, **where)
+        want = track(-10.0, -196.6, ordered, **where)
+        assert got == [want[ordered.index(x)] for x in xs]
+        assert [len(p) for p in got] == [2] * len(xs)
+
+
+class TestTrackInputs:
+    @pytest.mark.parametrize("where", [
+        {}, {"seeds": (6.18,), "window": (6.1, 6.3)}])
+    def test_needs_seeds_or_a_window(self, where):
+        with pytest.raises(InvalidParameterError, match="seeds or a window"):
+            track(-10.0, -196.6, [0.0], **where)
+
+    @pytest.mark.parametrize("seeds", [(), (6.1, 6.2, 6.3), (math.nan,),
+                                       (6.18, math.inf)])
+    def test_one_or_two_finite_seeds(self, seeds):
+        with pytest.raises(InvalidParameterError, match="seeds"):
+            track(-10.0, -196.6, [0.0], seeds=seeds)
+
+    @pytest.mark.parametrize("window", [(6.3, 6.1), (-1.0, 6.3),
+                                        (6.1, math.nan)])
+    def test_window_is_checked(self, window):
+        with pytest.raises(InvalidParameterError, match="k_min < k_max"):
+            track(-10.0, -196.6, [0.0], window=window)
 
 
 class TestSeededTrack:
@@ -476,12 +510,12 @@ class TestSeededTrack:
 
     @pytest.mark.parametrize("zeta_m", [-196.6, -150.0, -20.0])
     def test_pair_matches_window_search(self, zeta_m, monkeypatch):
-        center, half = window(*spectrum.branch_window(-10.0, zeta_m,
-                                                      self.XS))
-        seeded = track(-10.0, zeta_m, self.XS, center, half,
-                       seeds=self.pair_seeds(-10.0, zeta_m))
+        seeds = self.pair_seeds(-10.0, zeta_m)
+        seeded = track(-10.0, zeta_m, self.XS, seeds=seeds)
         monkeypatch.setattr(spectrum, "_seeded_step", lambda *a: None)
-        searched = track(-10.0, zeta_m, self.XS, center, half)
+        # every step searches: the pair and 10 kappa either side
+        searched = track(-10.0, zeta_m, self.XS,
+                         window=(min(seeds) - 0.05, max(seeds) + 0.05))
         for x, got, want in zip(self.XS, seeded, searched):
             assert len(got) == len(want) == 2
             for a, b in zip(got, want):
@@ -499,28 +533,29 @@ class TestSeededTrack:
 
         monkeypatch.setattr(spectrum, "find_peaks", counted)
         seeds = self.pair_seeds(-10.0, -196.6)
-        center = pair_center(-10.0, -196.6)
-        track(-10.0, -196.6, self.XS, center, 0.05, seeds=seeds)
+        track(-10.0, -196.6, self.XS, seeds=seeds)
         assert searches == []
         monkeypatch.setattr(spectrum, "_descend", lambda *a: None)
-        track(-10.0, -196.6, self.XS, center, 0.05, seeds=seeds)
+        track(-10.0, -196.6, self.XS, seeds=seeds)
         assert len(searches) == len(self.XS)
 
     def test_seeds_on_one_peak_fall_back(self, monkeypatch):
         # both seeds on the lower member: the refined pair is not
-        # distinct, so the step searches its window
+        # distinct, so the step searches the seeds' span padded by
+        # 8 kappa on each side, with find_peaks at its defaults
         searches = []
 
         def counted(*args, **kwargs):
-            searches.append(args)
+            searches.append((args, kwargs))
             return find_peaks(*args, **kwargs)
 
         monkeypatch.setattr(spectrum, "find_peaks", counted)
         lower, upper = sorted(self.pair_seeds(-10.0, -150.0))
-        center = pair_center(-10.0, -150.0)
-        ((a, b),) = track(-10.0, -150.0, [0.0], center, 0.05,
+        ((a, b),) = track(-10.0, -150.0, [0.0],
                           seeds=(lower, lower + 1e-12))
-        assert len(searches) == 1
+        pad = 8.0 * bare_linewidth(-10.0)
+        ((_, lo, hi), kwargs), = searches
+        assert (lo, hi, kwargs) == (lower - pad, lower + 1e-12 + pad, {})
         assert (a.k_peak, b.k_peak) == pytest.approx((lower, upper),
                                                      abs=1e-9)
 
