@@ -21,7 +21,8 @@ numeric modules but no numpy: the trackers are seeded from the closed
 forms, a grid within core_scatter.SCALAR_GRID_WORK runs on the scalar
 kernel, and CSV documents of at most _FMT_ROWS rows are formatted cell
 by cell.  `spectrum`, a larger grid (a tracker's fallback window may be
-one) and a longer CSV document load numpy.
+one) and a longer CSV document, which csv_rows writes from numpy blocks,
+load numpy.  Only `figures` and `sweep-x` load experiments.
 """
 
 from __future__ import annotations
@@ -210,18 +211,21 @@ _FIGURES = {
 }
 
 
-def _load_numerics():
+def _load_numerics(pipelines=False):
     """Import the numeric modules into the names above, once.
 
-    Module names rather than locals, so that whatever rebinds them
-    afterwards (a mock, a tracer) is what the subcommands call.
+    `experiments` only with `pipelines`.  Module names rather than
+    locals, so that whatever rebinds them afterwards (a mock, a tracer)
+    is what the subcommands call.
     """
     global spectrum, experiments, CavitySystem, effective_polarizability
     global maximize_stack_polarizability
     if spectrum is None:
-        from . import experiments, spectrum
+        from . import spectrum
         from .core_scatter import (CavitySystem, effective_polarizability,
                                    maximize_stack_polarizability)
+    if pipelines and experiments is None:
+        from . import experiments
 
 
 def _build_parser():
@@ -284,130 +288,14 @@ def _fmt(value):
     return str(value)
 
 
-_CSV_BLOCK = 1 << 16
-# the longest document _render_csv formats with _fmt.  Measured on
-# fig1's six float columns (2-core Xeon, numpy 2.4): _fmt takes about
-# 6.6 us a row, the kernel 1.2 ms plus 2.3 us a row once numpy is
-# loaded, and loading numpy 0.17 s.  At 4096 rows _fmt costs at most
-# ~19 ms more than the kernel, against the 0.17 s that a process without
-# numpy saves; fig1's 2001 rows lie below.
+# rows a block: csv_rows writes 1e6 x 2 floats in 75 ms, in 94 ms at 1 << 16
+_CSV_BLOCK = 1 << 14
+# the longest document _render_csv formats with _fmt.  On fig1's six
+# float columns (2-core Xeon, numpy 2.4) _fmt takes 7.0 us a row, and
+# csv_rows 6 ms plus 1.0 us a row once numpy (0.16 s) is loaded: at 4096
+# rows _fmt costs ~19 ms more, against the 0.16 s that a process without
+# numpy saves.  fig1's 2001 rows lie below.
 _FMT_ROWS = 4096
-# the longest "%.11e" of a float: -d.ddddddddddde-ddd
-_FLOAT_WIDTH = 19
-# 10**k is a float64 without rounding for k <= 22
-_POW10 = tuple(float(10 ** k) for k in range(23))
-_LOG10_2 = math.log10(2.0)
-
-
-def _scaled(a, shift):
-    """a * 10**shift with one rounding, for |shift| <= 22.
-
-    One of the two table entries is 1, so the product or the quotient
-    is exact.  Larger |shift| reads a clipped (wrong) power.
-    """
-    import numpy as np
-
-    pow10 = np.array(_POW10)
-    return (a * pow10[np.clip(shift, 0, 22)]
-            / pow10[np.clip(-shift, 0, 22)])
-
-
-def _float_cells(x):
-    """The bytes of "%.11e" % v for each v of a float64 array.
-
-    Returns a (len(x), 19) uint8 matrix and the mask of the bytes each
-    cell uses.  With e = floor(log10|v|), y = |v| * 10**(11 - e) lies in
-    [1e11, 1e12) and rint(y) holds the 12 digits (carried to the next
-    exponent at 1e12).  The power is exact for |11 - e| <= 22, so y takes
-    one rounding; rounding is monotone and every half-integer below 1e12
-    is a float, so rint(y) is the correctly rounded digit string unless
-    y itself is a half-integer, where the exact value may lie on either
-    side of it.  Those cells, zeros, non-finite values and exponents
-    beyond the table are formatted by _fmt instead, so every cell is
-    exact by construction.
-    """
-    import numpy as np
-
-    a = np.abs(x)
-    fast = (a > 0.0) & (a < np.inf)
-    a[~fast] = 1.0                    # keeps the arithmetic below finite
-    # floor(log10 2**(p - 1)) from the binary exponent p is e or e - 1
-    e = np.floor((np.frexp(a)[1] - 1) * _LOG10_2).astype(np.int64)
-    e += _scaled(a, 11 - e) >= 1e12
-    y = _scaled(a, 11 - e)
-    n = np.rint(y)
-    fast &= (np.abs(11 - e) <= 22) & (np.abs(y - n) != 0.5)
-    n[~fast] = 1e11
-    carry = n == 1e12
-    n[carry] = 1e11
-    e += carry
-    digits = np.empty((12, len(x)), np.uint8)
-    for place in range(11, -1, -1):
-        q = np.floor(n / 10.0)        # exact: n < 2**53
-        digits[place] = n - 10.0 * q + ord("0")
-        n = q
-    cells = np.empty((len(x), _FLOAT_WIDTH), np.uint8)
-    cells[:, 0] = ord("-")
-    cells[:, 1] = digits[0]
-    cells[:, 2] = ord(".")
-    cells[:, 3:14] = digits[1:].T
-    cells[:, 14] = ord("e")
-    cells[:, 15] = np.where(e < 0, ord("-"), ord("+"))
-    e = np.abs(e)                     # two digits: |e| <= 34 if fast
-    cells[:, 16] = e // 10 + ord("0")
-    cells[:, 17] = e % 10 + ord("0")
-    keep = np.ones(cells.shape, bool)
-    keep[:, 0] = x < 0.0
-    keep[:, 18] = False
-    slow = np.flatnonzero(~fast)
-    if slow.size:
-        text, used = _text_cells(map(_fmt, x[slow].tolist()))
-        cells[slow, :text.shape[1]] = text
-        keep[slow] = False
-        keep[slow, :used.shape[1]] = used
-    return cells, keep
-
-
-def _text_cells(texts):
-    """A uint8 matrix of encoded cell strings and the mask of its bytes."""
-    import numpy as np
-
-    raw = [t.encode() for t in texts]
-    width = max(map(len, raw), default=0)
-    cells = np.frombuffer(b"".join(r.ljust(width, b"\0") for r in raw),
-                          np.uint8).reshape(len(raw), width)
-    keep = np.arange(width) < np.array([len(r) for r in raw],
-                                       dtype=np.intp).reshape(-1, 1)
-    return cells, keep
-
-
-def _all_floats(values):
-    dtype = getattr(values, "dtype", None)   # a numpy array's
-    if dtype is not None:
-        return dtype == "float64"
-    return all(isinstance(v, float) for v in values)
-
-
-def _csv_rows(columns, rows):
-    """Bytes of `rows` CSV rows from each column's (cells, keep) pair.
-
-    A short column's missing cells are empty.
-    """
-    import numpy as np
-
-    width = sum(cells.shape[1] + 1 for cells, _ in columns)
-    block = np.empty((rows, width), np.uint8)
-    used = np.zeros((rows, width), bool)
-    at = 0
-    for cells, keep in columns:
-        length, cell_width = cells.shape
-        block[:length, at:at + cell_width] = cells
-        used[:length, at:at + cell_width] = keep
-        at += cell_width + 1
-        block[:, at - 1] = ord(",")
-        used[:, at - 1] = True
-    block[:, -1] = ord("\n")
-    return block[used].tobytes()
 
 
 def _jsonable(value):
@@ -437,10 +325,8 @@ def _render_csv(params, columns, annotations):
     """Yield the CSV document as bytes: metadata and header, then rows.
 
     A document of at most _FMT_ROWS rows is formatted cell by cell with
-    _fmt, the rule _float_cells reproduces byte for byte, and takes no
-    numpy.  Longer ones go out in blocks, so only one block of cells is
-    alive; float columns (all values float) are formatted by
-    _float_cells, the others cell by cell with _fmt.
+    _fmt and takes no numpy.  csv_rows writes longer ones, byte for byte
+    the same, in blocks of _CSV_BLOCK rows, so one block is alive.
     """
     yield _csv_head(params, columns, annotations).encode()
     length = max(map(len, columns.values()), default=0)
@@ -449,16 +335,8 @@ def _render_csv(params, columns, annotations):
                  for values in columns.values()]
         yield "".join(",".join(row) + "\n" for row in zip(*cells)).encode()
         return
-    import numpy as np
-
-    floats = [_all_floats(values) for values in columns.values()]
-    for start in range(0, length, _CSV_BLOCK):
-        rows = min(_CSV_BLOCK, length - start)
-        yield _csv_rows(
-            [_float_cells(np.asarray(values[start:start + rows], np.float64))
-             if is_float else
-             _text_cells(map(_fmt, values[start:start + rows]))
-             for values, is_float in zip(columns.values(), floats)], rows)
+    from . import csv_rows
+    yield from csv_rows.render(list(columns.values()), _fmt, _CSV_BLOCK)
 
 
 def _render_json(params, data):
@@ -560,7 +438,7 @@ def _cmd_threshold(values):
 
 
 def _cmd_sweep_x(values):
-    _load_numerics()
+    _load_numerics(pipelines=True)
     xs = spectrum.linspace(values["xmin"], values["xmax"], values["xpoints"])
     dataset = experiments.run_fig2_resonant_transmission(
         values["zeta"], (values["zeta_m"],), xs, values["pair_index"])
@@ -687,7 +565,7 @@ def main(argv=None) -> int:
         params = _params_echo(args.subcommand, values)
         if args.subcommand == "figures":
             params["figure"] = args.figure
-            _load_numerics()
+            _load_numerics(pipelines=True)
             dataset = getattr(experiments, _FIGURES[args.figure])(
                 zeta=values["zeta"])
             params.update(dataset.params)

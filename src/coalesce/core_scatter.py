@@ -49,11 +49,11 @@ from .errors import InvalidParameterError, finite as _finite
 _BLOCK = 16384   # array wavenumbers per block of the bulk kernel
 # The largest grid, in kernel work (points x hops per point), that
 # :func:`grid` leaves to the scalar kernel.  Measured on a 2-core Xeon
-# (Python 3.11, numpy 2.4): the scalar kernel takes about 1.1 us a point
-# plus 0.6 us a hop, numpy's about 0.1 us a point once loaded, and
-# loading numpy 0.17 s.  The costliest grid at the bound, 65536 points
-# of one hop, takes 0.11 s on the scalar kernel: less than the import it
-# saves a fresh process, and 0.10 s more than numpy in a process that
+# (Python 3.11, numpy 2.4): the scalar kernel takes about 0.6 us a point
+# plus 0.5 us a hop, numpy's 0.05 us a point once loaded, and loading
+# numpy 0.16 s.  The costliest grid at the bound, 65536 points of one
+# hop, takes about 0.07 s on the scalar kernel: less than the import it
+# saves a fresh process, and 0.07 s more than numpy in a process that
 # has loaded it.  The search windows (a few hundred points) and fig1
 # (2001 points x 2 hops) lie below it.
 SCALAR_GRID_WORK = 65536
@@ -186,23 +186,34 @@ def _compose(zeta_first, hops, k):
 
     Starts from the scatterer ``zeta_first`` and applies each hop
     ``(d, zeta)``: propagate by ``d``, then scatter by ``zeta``.  A float
-    ``k`` runs on Python complex numbers, an array ``k`` on numpy arrays
-    of its shape.  Consecutive equal gaps reuse their phase factor.
+    ``k`` runs on Python complex numbers, an array ``k`` on five buffers
+    of its shape.  numpy's complex product does not commute bit for bit,
+    and rounds otherwise on one point written over an operand, so each
+    product keeps its operand order and goes to a free buffer.
+    Consecutive equal gaps reuse their phase factor.
     """
-    if isinstance(k, float):
-        exp = cmath.exp
-    else:
-        import numpy as np
-
-        exp = np.exp
     a, b = 1.0 + 1j * zeta_first, 1j * zeta_first
-    e = d_prev = None
+    d_prev, exp = None, cmath.exp
+    if isinstance(k, float):
+        for d, zeta in hops:
+            if d != d_prev:
+                e, d_prev = exp(1j * (k * d)), d
+            a, b = e * a, e * b
+            u = a + b.conjugate()
+            a, b = a + 1j * zeta * u, b + 1j * zeta * u.conjugate()
+        return a, b
+    import numpy as np
+
+    a, b = np.full(k.shape, a), np.full(k.shape, b)
+    e, u, t = (np.empty(k.shape, complex) for _ in range(3))
     for d, zeta in hops:
         if d != d_prev:
-            e, d_prev = exp(1j * (k * d)), d
-        a, b = e * a, e * b
-        u = a + b.conjugate()
-        a, b = a + 1j * zeta * u, b + 1j * zeta * u.conjugate()
+            e, d_prev = np.exp(np.multiply(1j, k * d, out=t), out=e), d
+        a, t = np.multiply(e, a, out=t), a
+        b, t = np.multiply(e, b, out=t), b
+        np.add(a, np.conjugate(b, out=u), out=u)
+        a += np.multiply(1j * zeta, u, out=t)
+        b += np.multiply(1j * zeta, np.conjugate(u, out=u), out=t)
     return a, b
 
 
@@ -219,13 +230,7 @@ def _stack_ab(elements, k):
         raise InvalidParameterError(
             "element positions must be strictly increasing")
     hops = [(q - p, zeta) for (p, _), (q, zeta) in zip(els, els[1:])]
-    k = _check_k(k)
-    a, b = _compose(els[0][1], hops, k)
-    if not hops and not isinstance(k, float):  # no phase carried k's shape
-        import numpy as np
-
-        a, b = np.full(k.shape, a), np.full(k.shape, b)
-    return a, b
+    return _compose(els[0][1], hops, _check_k(k))
 
 
 def transmission(system: CavitySystem, k):
@@ -243,14 +248,16 @@ def transmission(system: CavitySystem, k):
             out.append(1.0 / (1.0 + (b.real * b.real + b.imag * b.imag)))
         return out
     k = _check_k(k)
-    if not isinstance(k, float) and k.size > _BLOCK:
-        import numpy as np
+    if isinstance(k, float):
+        _, b = _compose(system.zeta_end, system._hops, k)
+        return 1.0 / (1.0 + (b.real * b.real + b.imag * b.imag))
+    import numpy as np
 
-        ks = k.ravel()
-        return np.concatenate([transmission(system, ks[i:i + _BLOCK]) for i
-                               in range(0, ks.size, _BLOCK)]).reshape(k.shape)
-    _, b = _compose(system.zeta_end, system._hops, k)
-    return 1.0 / (1.0 + (b.real * b.real + b.imag * b.imag))
+    ks, out = k.ravel(), np.empty(k.size)
+    for i in range(0, k.size, _BLOCK):   # k was checked once, above
+        _, b = _compose(system.zeta_end, system._hops, ks[i:i + _BLOCK])
+        out[i:i + _BLOCK] = 1.0 / (1.0 + (b.real * b.real + b.imag * b.imag))
+    return out.reshape(k.shape)
 
 
 def s_derivatives(system: CavitySystem, k):

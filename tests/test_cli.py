@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coalesce
-from coalesce import cli, closed_form
+from coalesce import cli, closed_form, csv_rows
 from coalesce.cli import load_config, main
 from coalesce.cli import ConfigError
+from coalesce.core_scatter import CavitySystem
+from coalesce.spectrum import scan_transmission
 
 FLOAT_12SIG = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -52,6 +54,16 @@ class TestSpectrumCsv:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_long_document_is_percent_e_of_every_cell(self, tmp_path):
+        target = tmp_path / "spec.csv"
+        assert main(["spectrum", "--zeta-m=-50", "--points=200000",
+                     f"--output={target}"]) == 0
+        ks, ts = scan_transmission(CavitySystem.with_middle(-10.0, -50.0),
+                                   5.8, 6.4, 200000)
+        lines = target.read_text().split("\n")
+        want = ["%.11e,%.11e" % row for row in zip(ks.tolist(), ts.tolist())]
+        assert lines[lines.index("k,T") + 1:] == want + [""]
 
     def test_file_output_atomic_lf(self, capsys, tmp_path):
         target = tmp_path / "spec.csv"
@@ -423,14 +435,19 @@ def render_csv(params, columns, annotations, fmt_rows=-1):
                                         annotations)).decode()
 
 
+def kernel_rows(columns):
+    """The data rows csv_rows writes for `columns`, as one bytes object."""
+    return b"".join(csv_rows.render(columns, cli._fmt, cli._CSV_BLOCK))
+
+
 def kernel_strings(values):
-    cells, keep = cli._float_cells(np.array(values, dtype=np.float64))
-    return [bytes(row[used]).decode() for row, used in zip(cells, keep)]
+    return kernel_rows([np.array(values, dtype=np.float64)]).decode().split(
+        "\n")[:-1]
 
 
 def assert_kernel_matches(x):
-    """_float_cells gives the bytes of "%.11e" for every value of x."""
-    got = cli._csv_rows([cli._float_cells(x)], len(x))
+    """The kernel gives the bytes of "%.11e" for every value of x."""
+    got = kernel_rows([x])
     want = "".join("%.11e\n" % v for v in x.tolist()).encode()
     if got != want:
         bad = next(v for v, g, w in zip(x.tolist(), got.split(b"\n"),
@@ -517,18 +534,18 @@ class TestCsvRenderer:
             render_csv({}, columns, None)
 
     def test_only_longer_documents_take_the_kernel(self, monkeypatch):
-        blocks = []
-        kernel = cli._csv_rows
+        documents = []
+        kernel = csv_rows.render
 
-        def counted(columns, rows):
-            blocks.append(rows)
-            return kernel(columns, rows)
+        def counted(columns, fmt, block):
+            documents.append(max(map(len, columns)))
+            return kernel(columns, fmt, block)
 
-        monkeypatch.setattr(cli, "_csv_rows", counted)
+        monkeypatch.setattr(csv_rows, "render", counted)
         for rows in (cli._FMT_ROWS, cli._FMT_ROWS + 1):
             render_csv({}, {"x": [0.5] * rows}, None,
                        fmt_rows=cli._FMT_ROWS)
-        assert blocks == [cli._FMT_ROWS + 1]
+        assert documents == [cli._FMT_ROWS + 1]
 
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf, -0.0, 5e-324, None, 0, -7, True,
@@ -552,6 +569,42 @@ class TestCsvRenderer:
                    "T": special}
         lines = render_csv({}, columns, None).split("\n")
         assert lines == ["k,label,T"] + per_cell_rows(columns) + [""]
+
+    def test_positive_floats_take_no_fallback(self, monkeypatch):
+        # 12-digit decimals at exponents -11 to 33 are never ties and never
+        # round up to the next decade, so the kernel writes every cell
+        rng = np.random.default_rng(2107)
+        n = 3 * cli._CSV_BLOCK + 5
+        values = [float(f"{m}e{j}") for m, j in zip(
+            rng.integers(10 ** 11, 10 ** 12, n).tolist(),
+            rng.integers(-22, 23, n).tolist())]
+        columns = {"k": np.array(values), "T": values[::-1]}
+        want = ["k,T"] + per_cell_rows(columns) + [""]
+        calls = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+        lines = render_csv({}, columns, None).split("\n")
+        assert calls == []
+        assert lines == want
+
+    def test_negative_column_and_fallbacks_across_blocks(self):
+        # a displacement grid through zero (as in sweep-x), 3-digit
+        # exponents of both signs, and fallback cells (non-finite, zero,
+        # binary and decimal ties, a round-up to the next decade, an
+        # exponent past the exact powers) on both sides of block borders
+        block = cli._CSV_BLOCK
+        n = 3 * block + 7
+        tiny = np.full(n, 2.5e-200)
+        tiny[::7] = -1.25e150
+        special = [i * 1e-3 + 0.5 for i in range(n)]
+        for border in (block, 2 * block, 3 * block):
+            special[border - 4:border + 4] = [
+                math.nan, 0.0, 100000000000.5, 1.000000000005,
+                9.9999999999996e-7, 1e-50, -math.inf, -0.0]
+        columns = {"x": np.linspace(-0.1, 0.1, n), "tiny": tiny,
+                   "special": special}
+        lines = render_csv({}, columns, None).split("\n")
+        assert lines == ["x,tiny,special"] + per_cell_rows(columns) + [""]
 
     @given(st.lists(cell_values, max_size=40))
     @settings(derandomize=True, max_examples=600)
@@ -682,6 +735,23 @@ class TestRuntimeWithoutNumpy:
         normal = outputs_in_fresh_interpreter(argvs, block_numpy=False)
         assert blocked == normal
         assert all(rc == 0 and out for rc, out in blocked)
+
+    def test_short_documents_leave_kernel_and_pipelines_out(self, tmp_path):
+        # spectrum's 2001 rows lie within cli._FMT_ROWS; only figures and
+        # sweep-x run the pipelines of coalesce.experiments
+        src = os.path.dirname(os.path.dirname(coalesce.__file__))
+        code = ("import sys, coalesce.cli\n"
+                "for argv in (['peaks'], ['threshold', '--numeric'],\n"
+                "             ['stack'], ['spectrum']):\n"
+                "    assert coalesce.cli.main(argv + sys.argv[1:]) == 0\n"
+                "print(sorted({'coalesce.csv_rows', 'coalesce.experiments'}\n"
+                "             & set(sys.modules)))\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, f"--output={tmp_path / 'out.csv'}"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     @pytest.mark.parametrize("argv", TRACKERS, ids=" ".join)
     def test_tracker_leaves_numpy_out(self, argv, tmp_path):

@@ -90,8 +90,8 @@ def numpy_imports(path):
             if module.split(".")[0] == "numpy"]
 
 
-def test_all_eight_modules_checked():
-    assert len(MODULES) == 8
+def test_all_nine_modules_checked():
+    assert len(MODULES) == 9
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
