@@ -5,7 +5,9 @@ Subcommands cover the raw scans (spectrum, peaks), the closed forms
 sensitivity estimates, multilayer stacks, and the figure pipelines.
 Output is CSV (with a '#'-prefixed metadata block echoing all effective
 parameters) or JSON ({"params": ..., "data": ...}); files are written
-atomically.  Effective parameters merge flags > config file > defaults.
+atomically.  Effective parameters merge flags > config file > defaults;
+a config key that is no flag of its subcommand is ignored with a
+warning.  `peaks` takes the peak search's tolerances from `spectrum`.
 
 Exit codes: 0 success, 1 stdout closed early (`| head`; stderr stays
 empty), 2 argument/config parse error, 3 domain error (reported on
@@ -79,7 +81,6 @@ class ConfigError(Exception):
 class RunConfig:
     """Raw key/value options read from a config file."""
 
-    subcommand: str | None = None
     values: dict = field(default_factory=dict)
 
 
@@ -144,8 +145,6 @@ _OPTIONS = {
         "kmin": (float, 5.8, "window lower edge"),
         "kmax": (float, 6.4, "window upper edge"),
         "grid_per_kappa": (int, 50, "grid points per linewidth"),
-        "refine_tol": (float, 1e-10, "refinement tolerance in k"),
-        "prominence": (float, 1e-9, "minimum maximum prominence"),
     },
     "splitting": {
         "zeta_m": (float, -196.6, "middle polarizability"),
@@ -376,12 +375,6 @@ def _emit(values, params, columns=None, record=None, annotations=None):
     _write(values["output"], chunks)
 
 
-def _params_echo(name, values, skip=("output", "format")):
-    params = {"subcommand": name, "version": __version__}
-    params.update({k: v for k, v in values.items() if k not in skip})
-    return params
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -405,9 +398,7 @@ def _cmd_peaks(values):
     _load_numerics()
     system = _system_from(values)
     peaks = spectrum.find_peaks(system, values["kmin"], values["kmax"],
-                                grid_per_kappa=values["grid_per_kappa"],
-                                refine_tol=values["refine_tol"],
-                                prominence=values["prominence"])
+                                grid_per_kappa=values["grid_per_kappa"])
     widths = []
     for peak in peaks:
         try:
@@ -562,7 +553,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         values = _effective(args, _OPTIONS[args.subcommand])
-        params = _params_echo(args.subcommand, values)
+        params = {"subcommand": args.subcommand, "version": __version__,
+                  **{k: v for k, v in values.items() if k not in _COMMON}}
         if args.subcommand == "figures":
             params["figure"] = args.figure
             _load_numerics(pipelines=True)

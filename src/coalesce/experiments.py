@@ -59,6 +59,13 @@ def _grid(values) -> Tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _scaled(zeta, zeta_m):
+    """``zeta_m`` times min(1, |zeta_m_star(zeta) / zeta_m_star(-10)|)."""
+    # capped: scaled up, fig2's -50 needs a 5e6-point grid at zeta = -1000
+    star = closed_form.coalescence_threshold
+    return zeta_m * min(1.0, abs(star(zeta) / star(DEFAULT_ZETA)))
+
+
 def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
                      k_window=(1.8, 1.8 + 3.0 * math.pi), n_points=2001):
     """Transmission spectra T(k) for a ladder of middle reflectivities.
@@ -112,17 +119,20 @@ def track_resonance(zeta, zeta_m, x_values: Sequence, pair_index=1):
                                                seeds=(k0,))]
 
 
-def run_fig2_resonant_transmission(zeta=DEFAULT_ZETA,
-                                   zeta_m_list=FIG2_ZETA_M_LIST,
+def run_fig2_resonant_transmission(zeta=DEFAULT_ZETA, zeta_m_list=None,
                                    x_grid=None, pair_index=1):
     """Tracked peak height vs displacement with its closed-form overlay.
 
-    For each zeta_m the peak nearest the x = 0 resonance is followed
-    across the displacement grid; columns per trace are the tracked
-    wavenumber ``k_res_i``, the numeric height ``T_num_i`` and the
-    displacement formula ``T_formula_i`` evaluated at the tracked
-    wavenumber.
+    For each zeta_m (default: :data:`FIG2_ZETA_M_LIST`, the paper's at
+    zeta = -10, scaled down with the threshold below |zeta| = 10, so
+    each keeps its sign and its ratio to it) the peak nearest the x = 0
+    resonance is followed across the displacement grid; columns per
+    trace are the tracked wavenumber ``k_res_i``, the numeric height
+    ``T_num_i`` and the displacement formula ``T_formula_i`` evaluated
+    at the tracked wavenumber.
     """
+    if zeta_m_list is None:
+        zeta_m_list = [_scaled(zeta, zm) for zm in FIG2_ZETA_M_LIST]
     if x_grid is None:
         x_grid = spectrum.linspace(-0.1, 0.1, 201)
     xs = spectrum.displacements(x_grid)
@@ -143,14 +153,17 @@ def run_fig2_resonant_transmission(zeta=DEFAULT_ZETA,
                          params=params)
 
 
-def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=FIG3_ZETA_M,
-                          x_grid=None, pair_index=1):
+def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=None, x_grid=None,
+                          pair_index=1):
     """Avoided crossing of the pair: pulled peaks vs lossless eigenmodes.
 
     Columns: the numerically tracked pulled branches (with heights) and
     the perfect-mirror eigenmode branches, all against displacement.
-    The tracker is seeded with the closed-form pair at x = 0.
+    The tracker is seeded with the closed-form pair at x = 0.  The
+    default ``zeta_m`` is :data:`FIG3_ZETA_M` scaled like fig2's.
     """
+    if zeta_m is None:
+        zeta_m = _scaled(zeta, FIG3_ZETA_M)
     if x_grid is None:
         x_grid = spectrum.linspace(-0.003, 0.003, 201)
     xs = spectrum.displacements(x_grid)

@@ -2,10 +2,10 @@
 
 Peak searches run on a wavenumber grid sized against the bare cavity
 linewidth kappa (grid step = kappa / grid_per_kappa), detect local
-maxima with a small prominence floor (so the flat top of a merging pair
-is not miscounted as several noise peaks), and polish each maximum by
-safeguarded Newton steps on s' = 0, s = 1/T - 1, inside its bracketing
-grid cell, with the analytic derivatives of
+maxima at least _PROMINENCE high (so the flat top of a merging pair is
+not miscounted as several noise peaks), and polish each maximum by
+safeguarded Newton steps on s' = 0, s = 1/T - 1, to _REFINE_TOL inside
+its bracketing grid cell, with the analytic derivatives of
 :func:`core_scatter.s_derivatives`.  Half-widths solve T = T_peak/2 the
 same way.  The grid maxima and their prominences are computed in-house,
 with the rules of SciPy's ``signal.find_peaks``, so numpy is the only
@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 _MAX_GRID_POINTS = 5_000_000
+_REFINE_TOL = 1e-10   # 1e-12 moves no peak of 300 pair windows by > 9e-16
+_PROMINENCE = 1e-9    # a floor for round-off ripple on a merged pair's top
 
 
 @dataclass(frozen=True)
@@ -208,8 +210,7 @@ def _grid_for(system, k_min, k_max, grid_per_kappa):
     return grid(k_min, k_max, n, len(system.elements) + 1)
 
 
-def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
-               refine_tol=1e-10, prominence=1e-9):
+def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50):
     """Locate and refine all transmission maxima in [k_min, k_max].
 
     Parameters
@@ -220,58 +221,46 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50,
         Search window, 0 < k_min < k_max.
     grid_per_kappa : int
         Grid points per linewidth (>= 10, so the step is <= kappa/10).
-    refine_tol : float
-        Width in k (<= 1e-8) to which each maximum is pinned: Newton
-        refinement stops at a step of at most half of it, or at a
-        bracket of both signs of s' at most this wide.
-    prominence : float
-        Minimum height of a maximum above its separating saddle; guards
-        against counting round-off ripples on nearly flat tops.  Finite
-        and >= 0.
 
     Returns
     -------
-    list of ResonancePeak, sorted by k.  An empty list means the window
-    contains no interior maximum (not an error).  Each peak stays inside
-    the two grid cells of its grid maximum, so no two coincide.  Raises
+    list of ResonancePeak, sorted by k: each grid maximum at least
+    :data:`_PROMINENCE` above its bases, pinned to :data:`_REFINE_TOL`
+    (a Newton step of at most half of it, or a bracket of both signs of
+    s' at most this wide).  An empty list means the window contains no
+    interior maximum (not an error).  Each peak stays inside the two
+    grid cells of its grid maximum, so no two coincide.  Raises
     :class:`NotBracketedError` when a refinement does not converge.
     """
     k_min, k_max = _window(k_min, k_max)
     if grid_per_kappa < 10:
         raise InvalidParameterError(
             f"grid_per_kappa must be >= 10, got {grid_per_kappa}")
-    if not 0.0 < refine_tol <= 1e-8:
-        raise InvalidParameterError(
-            f"refine_tol must be in (0, 1e-8], got {refine_tol}")
-    if not 0.0 <= prominence < math.inf:
-        raise InvalidParameterError(
-            f"prominence must be finite and >= 0, got {prominence}")
     ks = _grid_for(system, k_min, k_max, grid_per_kappa)
     ts = transmission(system, ks)
     peaks = []
-    for i in _grid_maxima(ts, prominence):
+    for i in _grid_maxima(ts, _PROMINENCE):
         k = float(closed_form.newton(lambda k: s_derivatives(system, k)[1:],
-                                     ks[i - 1], ks[i], ks[i + 1], refine_tol))
+                                     ks[i - 1], ks[i], ks[i + 1], _REFINE_TOL))
         peaks.append(ResonancePeak(k_peak=k, T_peak=transmission(system, k)))
     return peaks
 
 
-def peak_halfwidth(system: CavitySystem, peak: ResonancePeak,
-                   max_offset=0.5 * math.pi):
+def peak_halfwidth(system: CavitySystem, peak: ResonancePeak):
     """Half width of a refined peak at half its height.
 
     On each side, offsets from ``peak.k_peak`` double from kappa/2
     until the transmission drops to T_peak/2; safeguarded Newton steps
     on s = 2/T_peak - 1 then locate the crossing inside the last
     doubling to 1e-10.  Returns the average of the two sides.  Raises
-    :class:`EdgeTruncationError` if a side reaches ``max_offset`` before
-    the half level, and :class:`NotBracketedError` if the solve does not
-    converge.
+    :class:`EdgeTruncationError` if a side reaches half a free spectral
+    range (pi/2) before the half level, and :class:`NotBracketedError`
+    if the solve does not converge.
     """
     if not (math.isfinite(peak.k_peak) and 0.0 < peak.T_peak):
         raise InvalidParameterError(f"invalid peak {peak!r}")
     kappa = closed_form.bare_linewidth(system.zeta_end)
-    half = 0.5 * peak.T_peak
+    half, max_offset = 0.5 * peak.T_peak, 0.5 * math.pi
     widths = []
     for sign in (-1.0, 1.0):
         def f(h, sign=sign):
@@ -304,13 +293,13 @@ def displacements(x_values: Sequence):
     return xs
 
 
-def _descend(system, seed, reach, tol):
+def _descend(system, seed, reach):
     """The minimum of s = 1/T - 1 downhill of ``seed``, or None.
 
     Newton steps on s' walk downhill from the seed, each carried a
-    quarter of its length (at least ``tol``) past its target, until s'
-    changes sign; that sign change brackets the minimum, which
-    :func:`closed_form.newton` refines to ``tol``.  A bisection kept on
+    quarter of its length (at least _REFINE_TOL) past its target, until
+    s' changes sign; that sign change brackets the minimum, which
+    :func:`closed_form.newton` refines to _REFINE_TOL.  A bisection kept on
     s'(lo) < 0 < s'(hi) ends on a minimum of s, never on the saddle
     between two peaks.  Returns None when the walk meets a concave s
     (s'' <= 0) or a step that is not finite, leaves ``seed +- reach``,
@@ -328,36 +317,36 @@ def _descend(system, seed, reach, tol):
         step = -slope / curve if curve > 0.0 else math.nan
         if not math.isfinite(step):
             return None
-        far = near + step + downhill * max(0.25 * abs(step), tol)
+        far = near + step + downhill * max(0.25 * abs(step), _REFINE_TOL)
         far = min(max(far, seed - reach), seed + reach)
         value, far_curve = f(far)
         if downhill * value >= 0.0:
             lo, hi = sorted((near, far))
             return closed_form.newton(f, lo, min(max(near + step, lo), hi),
-                                      hi, tol)
+                                      hi, _REFINE_TOL)
         if abs(far - seed) >= reach:
             return None
         near, slope, curve = far, value, far_curve
     return None
 
 
-def _seeded_step(system, seeds, previous, reach, tol):
+def _seeded_step(system, seeds, previous, reach):
     """The peaks downhill of ``seeds``, or None if any check fails.
 
     Each refined peak must have s'' > 0, lie within ``reach`` of its
     previous position, and stay above its lower neighbor by more than
-    2 ``tol``.
+    2 :data:`_REFINE_TOL`.
     """
     kept = []
     for seed, before in zip(seeds, previous):
         try:
-            k = _descend(system, seed, reach, tol)
+            k = _descend(system, seed, reach)
         except NotBracketedError:
             return None
         if k is None or abs(k - before) > reach:
             return None
         s, _, curve = s_derivatives(system, k)
-        if not curve > 0.0 or (kept and k - kept[-1].k_peak <= 2.0 * tol):
+        if not curve > 0.0 or kept and k - kept[-1].k_peak <= 2 * _REFINE_TOL:
             return None
         kept.append(ResonancePeak(k_peak=k, T_peak=1.0 / (1.0 + s)))
     return kept
@@ -431,7 +420,7 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
                     guesses = [k + new - old for k, old, new
                                in zip(previous, *branches)]
             kept = _seeded_step(system, guesses, previous,
-                                min(0.35, 2.0 * kappa + motion), 1e-10)
+                                min(0.35, 2.0 * kappa + motion))
         if kept is None:
             if half is None:
                 pad = min(0.35, 8.0 * kappa + motion)

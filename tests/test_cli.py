@@ -1,5 +1,7 @@
 """CLI contract: output shapes, config precedence, exit codes."""
 
+import ast
+import inspect
 import json
 import math
 import os
@@ -250,6 +252,22 @@ class TestConfigFile:
         assert "unknown config key 'spacing_grid'" in err
         assert json.loads(out)["data"]["spacing"] == pytest.approx(0.125)
 
+    def test_retired_peak_tolerance_keys_warn(self, capsys, tmp_path):
+        # values that would move or drop peaks, were they read
+        cfg = tmp_path / "peaks.cfg"
+        cfg.write_text("refine-tol = 1e-3\nprominence = 0.5\n")
+        code, out, err = run_cli(capsys, "peaks", "--zeta-m=-50", "--config",
+                                 str(cfg), "--format", "json")
+        assert code == 0
+        assert "unknown config key 'refine_tol'" in err
+        assert "unknown config key 'prominence'" in err
+        payload = json.loads(out)
+        assert "refine_tol" not in payload["params"]
+        assert "prominence" not in payload["params"]
+        _, plain, _ = run_cli(capsys, "peaks", "--zeta-m=-50", "--format",
+                              "json")
+        assert payload["data"] == json.loads(plain)["data"]
+
     def test_load_config_roundtrip(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("kmin = 5.9\nrefine-tol = 1e-10\n")
@@ -260,8 +278,12 @@ class TestConfigFile:
 
 
 class TestExitCodes:
-    def test_unknown_flag_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "spectrum", "--no-such-flag", "1")
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--no-such-flag", "1"),
+        ("peaks", "--refine-tol=1e-10"), ("peaks", "--prominence=1e-9"),
+    ], ids=" ".join)
+    def test_unknown_flag_exits_2(self, capsys, argv):
+        code, _, _ = run_cli(capsys, *argv)
         assert code == 2
 
     def test_domain_error_exits_3_with_token(self, capsys):
@@ -272,7 +294,7 @@ class TestExitCodes:
         assert line.startswith("error[divergent-sensitivity]:")
 
     def test_invalid_parameter_token(self, capsys):
-        code, _, err = run_cli(capsys, "peaks", "--refine-tol", "1e-3")
+        code, _, err = run_cli(capsys, "peaks", "--grid-per-kappa", "5")
         assert code == 3
         assert err.startswith("error[invalid-parameter]:")
 
@@ -286,8 +308,8 @@ class TestExitCodes:
         ("stack", "--k=nan"), ("stack", "--k=inf"), ("stack", "--k=-1"),
         ("stack", "--k=0"), ("stack", "--n-layers=1", "--k=nan"),
         ("stack", "--spacing=0.1", "--k=-1"),
-        ("peaks", "--prominence=nan"), ("peaks", "--prominence=-1e-9"),
-        ("peaks", "--prominence=inf"),
+        ("peaks", "--kmin=nan"), ("peaks", "--kmin=inf"),
+        ("peaks", "--kmax=-1"),
     ], ids=" ".join)
     def test_out_of_range_float_exits_3(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -414,6 +436,18 @@ class TestFiguresSubcommand:
         merge = (payload["data"] if argv[0] == "threshold"
                  else payload["params"])["zeta_m_merge"]
         assert merge == pytest.approx(star, rel=1e-9)
+
+    @pytest.mark.parametrize("argv", [("fig3", "--zeta=-9.8"),
+                                      ("fig2", "--zeta=-4.9")], ids=" ".join)
+    def test_default_middle_elements_follow_the_threshold(self, capsys,
+                                                          argv):
+        # the paper's -196.6 and -50 lie above these thresholds
+        code, out, err = run_cli(capsys, "figures", *argv, "--format=json")
+        assert code == 0 and err == ""
+        params = json.loads(out)["params"]
+        star = closed_form.coalescence_threshold(params["zeta"])
+        zms = params.get("zeta_m_list", [params.get("zeta_m")])
+        assert all(star < zm < 0.0 for zm in zms)
 
 
 def per_cell_rows(columns):
@@ -821,3 +855,40 @@ class TestModuleEntryPoint:
         assert b"Traceback" not in err
         assert err == b""
 
+
+class TestOptionDefaults:
+    def test_library_keywords_share_the_cli_defaults(self):
+        # every `kw=values["dest"]` argument that a `_cmd_<name>` handler
+        # passes to a library keyword with a default: the flag's default
+        # is that keyword's default, so the two copies cannot drift apart
+        cli._load_numerics(pipelines=True)
+        tree = ast.parse(inspect.getsource(cli))
+        checked = set()
+        for handler in tree.body:
+            if not (isinstance(handler, ast.FunctionDef)
+                    and handler.name.startswith("_cmd_")):
+                continue
+            name = handler.name.removeprefix("_cmd_").replace("_", "-")
+            for call in ast.walk(handler):
+                keywords = {
+                    kw.arg: kw.value.slice.value
+                    for kw in getattr(call, "keywords", ())
+                    if isinstance(kw.value, ast.Subscript)
+                    and getattr(kw.value.value, "id", None) == "values"}
+                if not keywords:
+                    continue
+                func = call.func   # a name of cli, or module.name
+                if isinstance(func, ast.Attribute):
+                    func = getattr(getattr(cli, func.value.id), func.attr)
+                else:
+                    func = getattr(cli, func.id)
+                params = inspect.signature(func).parameters
+                for arg, dest in keywords.items():
+                    if params[arg].default is inspect.Parameter.empty:
+                        continue
+                    assert cli._OPTIONS[name][dest][1] == \
+                        params[arg].default, (name, dest)
+                    checked.add((name, dest, func.__name__))
+        assert checked == {
+            ("peaks", "grid_per_kappa", "find_peaks"),
+            ("stack", "k", "maximize_stack_polarizability")}

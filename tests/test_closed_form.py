@@ -31,6 +31,7 @@ from coalesce import (
 )
 from coalesce import closed_form
 from coalesce.closed_form import _lossless_condition
+from reference_peaks import tight_peaks
 
 TWO_PI = 2.0 * math.pi
 
@@ -360,15 +361,14 @@ class TestOracleAgreementWithNumerics:
                                                             fraction):
         # T_zeta(2 pi + u) = T_-zeta(2 pi - u) at x = 0: the pair sits
         # above 2 pi, the mirror image of the pair at -zeta
-        from coalesce import find_peaks
         zeta_m = fraction * coalescence_threshold(zeta)
         pair = peak_positions(zeta, zeta_m)
         assert TWO_PI < min(pair.k_even, pair.k_odd)
         center = pair_center(zeta, zeta_m)
         half = 8.0 * bare_linewidth(zeta) + pair.gap
-        peaks = find_peaks(CavitySystem.with_middle(zeta, zeta_m),
-                           center - half, center + half, refine_tol=1e-12)
-        assert [p.k_peak for p in peaks] == pytest.approx(
+        peaks = tight_peaks(CavitySystem.with_middle(zeta, zeta_m),
+                            center - half, center + half)
+        assert peaks == pytest.approx(
             sorted((pair.k_even, pair.k_odd)), abs=1e-14)
 
     @pytest.mark.parametrize("zeta, zeta_m", [
@@ -377,13 +377,12 @@ class TestOracleAgreementWithNumerics:
     def test_opposite_sign_pair_matches_refined_peaks(self, zeta, zeta_m):
         # the even member crosses 2 pi at zeta_m = -2 zeta; the first four
         # lie inside that crossing, the last two beyond it
-        from coalesce import find_peaks
         pair = peak_positions(zeta, zeta_m)
         center = pair_center(zeta, zeta_m)
         half = 8.0 * bare_linewidth(zeta) + pair.gap
-        peaks = find_peaks(CavitySystem.with_middle(zeta, zeta_m),
-                           center - half, center + half, refine_tol=1e-12)
-        assert [p.k_peak for p in peaks] == pytest.approx(
+        peaks = tight_peaks(CavitySystem.with_middle(zeta, zeta_m),
+                            center - half, center + half)
+        assert peaks == pytest.approx(
             sorted((pair.k_even, pair.k_odd)), abs=1e-12)
         assert pair.gap == pytest.approx(abs(pair.k_even - pair.k_odd),
                                          abs=1e-15)

@@ -29,6 +29,7 @@ from coalesce import (
 from coalesce import spectrum
 from coalesce.cli import main
 from coalesce.experiments import track_resonance
+from reference_peaks import tight_peaks
 
 STAR = coalescence_threshold(-10.0)
 TWO_PI = 2.0 * math.pi
@@ -226,15 +227,14 @@ class TestFig3:
 
     def test_tracked_peaks_are_converged(self):
         # every seeded peak of the default figure ends on a Newton step,
-        # within 1e-13 of a grid search refined to 1e-12
+        # within 1e-13 of the maxima solved to 1e-12
         ds = run_fig3_mode_pulling()
         margin = 8.0 * bare_linewidth(-10.0)
         for i, x in enumerate(ds.columns["x"]):
             system = CavitySystem.with_middle(-10.0, -196.6, x)
             pair = [ds.columns["k_lower"][i], ds.columns["k_upper"][i]]
-            ref = find_peaks(system, pair[0] - margin, pair[1] + margin,
-                             refine_tol=1e-12)
-            assert [p.k_peak for p in ref] == pytest.approx(pair, abs=1e-13)
+            ref = tight_peaks(system, pair[0] - margin, pair[1] + margin)
+            assert ref == pytest.approx(pair, abs=1e-13)
 
 
 class TestTrackResonance:
@@ -350,6 +350,25 @@ class TestThresholdSweep:
                 assert w > 0
             else:
                 assert math.isnan(w)
+
+
+class TestDefaultMiddleElements:
+    @pytest.mark.parametrize("zeta", [-3.0, -5.0, -9.8, -30.0, -100.0, 10.0])
+    def test_fig2_and_fig3_run(self, zeta):
+        # below |zeta| = 10 the paper's values scale with the threshold,
+        # keeping their signs; from there on they are the paper's own
+        scale = min(1.0, abs(coalescence_threshold(zeta) / STAR))
+        fig2 = run_fig2_resonant_transmission(zeta=zeta)
+        fig3 = run_fig3_mode_pulling(zeta=zeta)
+        assert fig2.params["zeta_m_list"] == [-0.5 * scale, -5.0 * scale,
+                                              -50.0 * scale]
+        assert fig3.params["zeta_m"] == -196.6 * scale
+        i0 = fig2.columns["x"].index(0.0)
+        for i in range(3):
+            assert fig2.columns[f"T_num_{i}"][i0] == pytest.approx(1.0,
+                                                                   abs=1e-6)
+        assert all(lower < upper for lower, upper in
+                   zip(fig3.columns["k_lower"], fig3.columns["k_upper"]))
 
 
 class TestRegenerationAndScheduling:

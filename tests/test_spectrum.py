@@ -154,14 +154,7 @@ class TestFindPeaks:
         with pytest.raises(InvalidParameterError):
             find_peaks(SYS_EMPTY, 2.9, 3.2, grid_per_kappa=5)
         with pytest.raises(InvalidParameterError):
-            find_peaks(SYS_EMPTY, 2.9, 3.2, refine_tol=1e-6)
-        with pytest.raises(InvalidParameterError):
             find_peaks(CavitySystem.empty(0.0), 2.9, 3.2)
-
-    @pytest.mark.parametrize("prominence", [math.nan, -1e-9, math.inf])
-    def test_prominence_checked(self, prominence):
-        with pytest.raises(InvalidParameterError, match="prominence"):
-            find_peaks(SYS_PAIR, 6.1, 6.25, prominence=prominence)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_same_peaks_on_either_kernel_at_the_bound(self, extra,
@@ -223,9 +216,13 @@ class TestPeakHalfwidth:
                                      * bare_linewidth(-10.0), rel=0.05)
 
     def test_edge_truncation(self):
-        peaks = find_peaks(SYS_EMPTY, 2.9, 3.2)
-        with pytest.raises(EdgeTruncationError):
-            peak_halfwidth(SYS_EMPTY, peaks[0], max_offset=1e-4)
+        # mirrors this weak never let T fall to half its peak height
+        # within half a free spectral range of the peak
+        system = CavitySystem.empty(-0.3)
+        peaks = find_peaks(system, 1.0, 3.0)
+        assert len(peaks) == 1
+        with pytest.raises(EdgeTruncationError, match="1.5708"):
+            peak_halfwidth(system, peaks[0])
 
     def test_matches_bisection_of_half_level(self):
         # each side: the first sample below half on a kappa/100 walk out
@@ -567,7 +564,7 @@ class TestSeededTrack:
         system = CavitySystem.with_middle(-10.0, zm)
         kappa = bare_linewidth(-10.0)
         seed = pair_center(-10.0, zm) + offset * kappa
-        k = spectrum._descend(system, seed, 4.0 * kappa, 1e-10)
+        k = spectrum._descend(system, seed, 4.0 * kappa)
         if k is not None:
             _, slope, curve = spectrum.s_derivatives(system, k)
             assert curve > 0.0
