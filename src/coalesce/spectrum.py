@@ -2,8 +2,8 @@
 
 Peak searches run on a wavenumber grid sized against the bare cavity
 linewidth kappa (grid step = kappa / grid_per_kappa), detect local
-maxima at least _PROMINENCE high (so the flat top of a merging pair is
-not miscounted as several noise peaks), and polish each maximum by
+maxima at least _PROMINENCE high (so round-off ripple on a vanishing
+transmission is not taken for peaks), and polish each maximum by
 safeguarded Newton steps on s' = 0, s = 1/T - 1, to _REFINE_TOL inside
 its bracketing grid cell, with the analytic derivatives of
 :func:`core_scatter.s_derivatives`.  Half-widths solve T = T_peak/2 the
@@ -18,10 +18,10 @@ calls return identical results.  :func:`track` is the one loop that
 follows peaks across displacements of the middle element (a threshold
 sweep row is one step at x = 0).  It starts from one or two seeds at
 x = 0, or from a window, walks outward from x = 0 and refines each
-step's prediction by the same Newton steps, without a grid.  Only a
-window walk's first step and a step whose refinement fails a check
-search a grid window: the previous peaks padded by a few kappa, or the
-given window's width.
+step's prediction by one bracketed solve of s' = 0 around it, without a
+grid.  Only a window walk's first step and a step whose refinement
+fails a check search a grid window: the previous peaks padded by a few
+kappa, or the given window's width.
 :func:`find_merge_point` solves the merge as a fold of s, without a
 grid.
 """
@@ -61,7 +61,9 @@ __all__ = [
 
 _MAX_GRID_POINTS = 5_000_000
 _REFINE_TOL = 1e-10   # 1e-12 moves no peak of 300 pair windows by > 9e-16
-_PROMINENCE = 1e-9    # a floor for round-off ripple on a merged pair's top
+# where T ~ 1e-19 (zeta = -1e4 at the merge, x = 2e-5) round-off ripple
+# makes grid maxima whose refinement loses its bracket; this drops them
+_PROMINENCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -240,8 +242,10 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50):
     ts = transmission(system, ks)
     peaks = []
     for i in _grid_maxima(ts, _PROMINENCE):
-        k = float(closed_form.newton(lambda k: s_derivatives(system, k)[1:],
-                                     ks[i - 1], ks[i], ks[i + 1], _REFINE_TOL))
+        # floats, not numpy scalars, so an error names a plain k
+        lo, k, hi = float(ks[i - 1]), float(ks[i]), float(ks[i + 1])
+        k = closed_form.newton(lambda k: s_derivatives(system, k)[1:],
+                               lo, k, hi, _REFINE_TOL)
         peaks.append(ResonancePeak(k_peak=k, T_peak=transmission(system, k)))
     return peaks
 
@@ -294,44 +298,30 @@ def displacements(x_values: Sequence):
 
 
 def _descend(system, seed, reach):
-    """The minimum of s = 1/T - 1 downhill of ``seed``, or None.
+    """The minimum of s = 1/T - 1 next to ``seed``, or None.
 
-    Newton steps on s' walk downhill from the seed, each carried a
-    quarter of its length (at least _REFINE_TOL) past its target, until
-    s' changes sign; that sign change brackets the minimum, which
-    :func:`closed_form.newton` refines to _REFINE_TOL.  A bisection kept on
-    s'(lo) < 0 < s'(hi) ends on a minimum of s, never on the saddle
-    between two peaks.  Returns None when the walk meets a concave s
-    (s'' <= 0) or a step that is not finite, leaves ``seed +- reach``,
-    or takes 16 steps.
+    One :func:`closed_form.newton` on s' over ``seed +- reach``, from the
+    seed, to _REFINE_TOL.  Its bracket keeps s'(lo) < 0 < s'(hi), so it
+    ends on a minimum of s, never on the saddle between two peaks.
+    Returns None when s'' <= 0 at the seed, or when the solve raises
+    :class:`NotBracketedError` (no minimum found within reach).
     """
     def f(k):
         return s_derivatives(system, k)[1:]
 
-    near = seed
-    slope, curve = f(near)
-    downhill = 1.0 if slope < 0.0 else -1.0
-    for _ in range(16):
-        if slope == 0.0:
-            return near
-        step = -slope / curve if curve > 0.0 else math.nan
-        if not math.isfinite(step):
-            return None
-        far = near + step + downhill * max(0.25 * abs(step), _REFINE_TOL)
-        far = min(max(far, seed - reach), seed + reach)
-        value, far_curve = f(far)
-        if downhill * value >= 0.0:
-            lo, hi = sorted((near, far))
-            return closed_form.newton(f, lo, min(max(near + step, lo), hi),
-                                      hi, _REFINE_TOL)
-        if abs(far - seed) >= reach:
-            return None
-        near, slope, curve = far, value, far_curve
-    return None
+    # a quartic top has round-off s'': solved from there, the merged
+    # sweep row at zeta = -10 moved 9e-10, nine times _REFINE_TOL
+    if not f(seed)[1] > 0.0:
+        return None
+    try:
+        return closed_form.newton(f, seed - reach, seed, seed + reach,
+                                  _REFINE_TOL)
+    except NotBracketedError:
+        return None
 
 
 def _seeded_step(system, seeds, previous, reach):
-    """The peaks downhill of ``seeds``, or None if any check fails.
+    """The peaks :func:`_descend` finds from ``seeds``, or None on a failure.
 
     Each refined peak must have s'' > 0, lie within ``reach`` of its
     previous position, and stay above its lower neighbor by more than
@@ -339,10 +329,7 @@ def _seeded_step(system, seeds, previous, reach):
     """
     kept = []
     for seed, before in zip(seeds, previous):
-        try:
-            k = _descend(system, seed, reach)
-        except NotBracketedError:
-            return None
+        k = _descend(system, seed, reach)
         if k is None or abs(k - before) > reach:
             return None
         s, _, curve = s_derivatives(system, k)
@@ -363,7 +350,8 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
     x < 0.  Each step predicts its peaks from the previous ones: a lone
     peak stays put, a pair moves along the two-mode branches of
     :func:`two_mode.branch_frequencies`.  :func:`_descend` refines each
-    prediction within reach = min(0.35, 2 kappa + 2 g |dx|) of it, g the
+    prediction by one :func:`closed_form.newton` on s' over the
+    prediction +- reach, reach = min(0.35, 2 kappa + 2 g |dx|), g the
     tunneling rate at the first center, and :func:`_seeded_step` checks
     the result.  A step whose check fails, or without as many previous
     peaks as members (a window walk's first step, a step after a merge),

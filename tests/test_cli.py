@@ -268,6 +268,31 @@ class TestConfigFile:
                               "json")
         assert payload["data"] == json.loads(plain)["data"]
 
+    @pytest.mark.parametrize("text, numeric", [("yes", True), ("Off", False)])
+    def test_bool_value(self, capsys, tmp_path, text, numeric):
+        cfg = tmp_path / "numeric.cfg"
+        cfg.write_text(f"numeric = {text}\n")
+        code, out, _ = run_cli(capsys, "threshold", "--config", str(cfg),
+                               "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"]["numeric"] is numeric
+        assert ("zeta_m_merge" in payload["data"]) is numeric
+        if numeric:
+            assert payload["data"]["zeta_m_merge"] == pytest.approx(
+                payload["data"]["zeta_m_star"], rel=1e-9)
+
+    @pytest.mark.parametrize("line, kind", [("numeric = maybe", "bool"),
+                                            ("zeta = abc", "float")])
+    def test_invalid_value_exits_2(self, capsys, tmp_path, line, kind):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "threshold", "--config", str(cfg))
+        assert code == 2 and out == ""
+        key, value = line.split(" = ")
+        assert err == (f"error[config]: config value {key} = {value!r} "
+                       f"is not a valid {kind}\n")
+
     def test_load_config_roundtrip(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("kmin = 5.9\nrefine-tol = 1e-10\n")
@@ -315,6 +340,16 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
         assert err.startswith("error[invalid-parameter]:")
+
+    def test_truncated_width_is_nan(self, capsys):
+        # weak mirrors: the peak near 1.86 does not fall to half height
+        # within pi/2, so its width is nan and the command succeeds
+        code, out, err = run_cli(capsys, "peaks", "--zeta=-0.3",
+                                 "--kmin=0.5", "--kmax=3.5")
+        assert code == 0 and err == ""
+        body = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert body == ["k_peak,T_peak,hwhm",
+                        "1.86225312127e+00,1.00000000000e+00,nan"]
 
     def test_lost_peak_is_pair_identification(self, capsys):
         # weak mirrors near the threshold: the broad pair leaves the
@@ -414,6 +449,12 @@ class TestFiguresSubcommand:
         assert len(body) == 1 + 2001
         assert any(ln.startswith("# annotation markers_0") for ln in
                    out.splitlines())
+
+    def test_fig1_json_annotations(self, capsys):
+        code, out, _ = run_cli(capsys, "figures", "fig1", "--format", "json")
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert set(data["annotations"]) == {f"markers_{i}" for i in range(5)}
 
     def test_threshold_sweep_json(self, capsys):
         code, out, _ = run_cli(capsys, "figures", "threshold-sweep",

@@ -135,6 +135,16 @@ class TestFig2:
         order = np.argsort([abs(z) for z in zms])
         assert minima[order[0]] > minima[order[1]] > minima[order[2]]
 
+    def test_tracked_peaks_are_converged(self, fig2):
+        # every seeded peak of the default figure ends on a Newton step,
+        # within 1e-13 of the maximum solved to 1e-12
+        kappa = bare_linewidth(-10.0)
+        for i, zm in enumerate(fig2.params["zeta_m_list"]):
+            for x, k in zip(fig2.columns["x"], fig2.columns[f"k_res_{i}"]):
+                system = CavitySystem.with_middle(-10.0, zm, x)
+                (ref,) = tight_peaks(system, k - 2.0 * kappa, k + 2.0 * kappa)
+                assert ref == pytest.approx(k, abs=1e-13)
+
     def test_x_grid_restricted(self):
         with pytest.raises(Exception):
             run_fig2_resonant_transmission(x_grid=[0.0, 0.3])

@@ -150,6 +150,23 @@ class TestFindPeaks:
     def test_windows_without_maxima_are_empty(self):
         assert find_peaks(SYS_EMPTY, 4.0, 5.5) == []
 
+    def test_prominence_floor_drops_round_off_ripple(self, monkeypatch):
+        # at zeta = -1e4 on the merge, displaced by x = 2e-5, T is about
+        # 1e-19 within 10 kappa of the pair center: the grid has maxima
+        # made of round-off, whose refinement loses its bracket
+        zeta = -1e4
+        star = coalescence_threshold(zeta)
+        system = CavitySystem.with_middle(zeta, star, 2e-5)
+        center, kappa = pair_center(zeta, star), bare_linewidth(zeta)
+        window = (center - 10.0 * kappa, center + 10.0 * kappa)
+        ts = transmission(system, spectrum._grid_for(system, *window, 50))
+        assert max(ts) < 1e-17
+        assert _grid_maxima(ts, 0.0)   # how many depends on libm
+        assert find_peaks(system, *window) == []
+        monkeypatch.setattr(spectrum, "_PROMINENCE", 0.0)
+        with pytest.raises(NotBracketedError):
+            find_peaks(system, *window)
+
     def test_preconditions(self):
         with pytest.raises(InvalidParameterError):
             find_peaks(SYS_EMPTY, 2.9, 3.2, grid_per_kappa=5)
@@ -309,6 +326,15 @@ class TestRefinementFailsLoudly:
         monkeypatch.setattr(spectrum, "s_derivatives", self.no_minimum)
         with pytest.raises(NotBracketedError):
             find_peaks(SYS_EMPTY, 2.9, 3.2)
+
+    def test_find_peaks_on_an_array_grid(self, monkeypatch):
+        # 2000 points per kappa pass SCALAR_GRID_WORK: the grid is a numpy
+        # array, and the error still names a plain float
+        monkeypatch.setattr(spectrum, "s_derivatives", self.no_minimum)
+        with pytest.raises(NotBracketedError) as raised:
+            find_peaks(SYS_EMPTY, 2.9, 3.2, grid_per_kappa=2000)
+        assert "lost its bracket near 3.04" in str(raised.value)
+        assert "np.float64" not in str(raised.value)
 
     def test_peak_halfwidth(self, monkeypatch):
         peak = find_peaks(SYS_EMPTY, 2.9, 3.2)[0]
@@ -555,6 +581,26 @@ class TestSeededTrack:
         assert (lo, hi, kwargs) == (lower - pad, lower + 1e-12 + pad, {})
         assert (a.k_peak, b.k_peak) == pytest.approx((lower, upper),
                                                      abs=1e-9)
+
+    @pytest.mark.parametrize("zeta_m", [-150.0, coalescence_threshold(-10.0)])
+    def test_descent_refuses_a_seed_where_s_is_not_convex(self, zeta_m):
+        # the pair center: the dip between two peaks, or at the merge a
+        # quartic top whose s'' is round-off (here negative)
+        system = CavitySystem.with_middle(-10.0, zeta_m)
+        seed = pair_center(-10.0, zeta_m)
+        assert not spectrum.s_derivatives(system, seed)[2] > 0.0
+        kappa = bare_linewidth(-10.0)
+        assert spectrum._descend(system, seed, 2.0 * kappa) is None
+
+    def test_descent_stays_within_reach(self):
+        # the empty cavity's peak lies 3 kappa below the seed: a reach of
+        # 2 kappa loses the solve's bracket, one of 4 kappa finds the peak
+        peak = find_peaks(SYS_EMPTY, 2.9, 3.2)[0].k_peak
+        kappa = bare_linewidth(-10.0)
+        seed = peak + 3.0 * kappa
+        assert spectrum._descend(SYS_EMPTY, seed, 2.0 * kappa) is None
+        assert spectrum._descend(SYS_EMPTY, seed, 4.0 * kappa) == (
+            pytest.approx(peak, abs=1e-12))
 
     @given(st.floats(-3.0, 3.0))
     @settings(derandomize=True, max_examples=150, deadline=None)
