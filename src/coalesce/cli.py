@@ -10,8 +10,9 @@ a config key that is no flag of its subcommand is ignored with a
 warning.  `peaks` takes the peak search's tolerances from `spectrum`.
 
 Exit codes: 0 success, 1 stdout closed early (`| head`; stderr stays
-empty), 2 argument/config parse error, 3 domain error (reported on
-stderr as one line 'error[<token>]: <message>').
+empty), 2 argument/config parse error or an output file that cannot be
+written, 3 domain error (reported on stderr as one line
+'error[<token>]: <message>').
 
 Importing this module loads no numpy.  `splitting`, `report`,
 `threshold` (without --numeric) and `sensitivity` and --version run on
@@ -24,7 +25,9 @@ forms, a grid within core_scatter.SCALAR_GRID_WORK runs on the scalar
 kernel, and CSV documents of at most _FMT_ROWS rows are formatted cell
 by cell.  `spectrum`, a larger grid (a tracker's fallback window may be
 one) and a longer CSV document, which csv_rows writes from numpy blocks,
-load numpy.  Only `figures` and `sweep-x` load experiments.
+load numpy.  Only `figures` and `sweep-x` load experiments.  A CLI
+process (run()) starts numpy with one OpenBLAS thread, since no module
+calls BLAS; an OPENBLAS_NUM_THREADS the user has set is kept.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from dataclasses import dataclass, field
 
 from . import __version__, closed_form, two_mode
@@ -75,6 +77,10 @@ _ERROR_TOKENS = (
 
 class ConfigError(Exception):
     """Malformed or unreadable config file (exit code 2)."""
+
+
+class OutputError(Exception):
+    """Output file that cannot be written (exit code 2)."""
 
 
 @dataclass
@@ -289,11 +295,12 @@ def _fmt(value):
 
 # rows a block: csv_rows writes 1e6 x 2 floats in 75 ms, in 94 ms at 1 << 16
 _CSV_BLOCK = 1 << 14
-# the longest document _render_csv formats with _fmt.  On fig1's six
-# float columns (2-core Xeon, numpy 2.4) _fmt takes 7.0 us a row, and
-# csv_rows 6 ms plus 1.0 us a row once numpy (0.16 s) is loaded: at 4096
-# rows _fmt costs ~19 ms more, against the 0.16 s that a process without
-# numpy saves.  fig1's 2001 rows lie below.
+# the longest document _render_csv formats with _fmt.  On six float
+# columns (2-core Xeon, numpy 2.4) _fmt takes 6-7 us a row, and csv_rows
+# 3 ms plus 1.5 us a row once numpy is loaded (0.08-0.10 s with the one
+# BLAS thread run() asks for): at 4096 rows _fmt costs ~16 ms more,
+# against the 0.08 s that a process without numpy saves.  fig1's 2001
+# rows lie below.
 _FMT_ROWS = 4096
 
 
@@ -350,16 +357,23 @@ def _write(path, chunks):
             sys.stdout.write(chunk.decode())
         sys.stdout.flush()   # a closed pipe raises here, inside main()
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coalesce-")
+    # mode 0o666 lets the umask set the file's mode, as open(path, "w")
+    # does; O_EXCL never opens a file that is already there
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".coalesce-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OutputError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(values, params, columns=None, record=None, annotations=None):
@@ -586,6 +600,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return 2
+    except OutputError as exc:
+        print(f"error[output]: {exc}", file=sys.stderr)
+        return 2
     except CoalescenceError as exc:
         for cls, token in _ERROR_TOKENS:
             if isinstance(exc, cls):
@@ -595,6 +612,10 @@ def main(argv=None) -> int:
 
 
 def run():
+    # no module calls BLAS or LAPACK, so OpenBLAS's pool of one thread a
+    # core only slows numpy's import (0.15 s, 0.08 s without it on two
+    # cores); set here, not at import, so a host program keeps its BLAS
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())
 
 

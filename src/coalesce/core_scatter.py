@@ -49,13 +49,14 @@ from .errors import InvalidParameterError, finite as _finite
 _BLOCK = 16384   # array wavenumbers per block of the bulk kernel
 # The largest grid, in kernel work (points x hops per point), that
 # :func:`grid` leaves to the scalar kernel.  Measured on a 2-core Xeon
-# (Python 3.11, numpy 2.4): the scalar kernel takes about 0.6 us a point
-# plus 0.5 us a hop, numpy's 0.05 us a point once loaded, and loading
-# numpy 0.16 s.  The costliest grid at the bound, 65536 points of one
-# hop, takes about 0.07 s on the scalar kernel: less than the import it
-# saves a fresh process, and 0.07 s more than numpy in a process that
-# has loaded it.  The search windows (a few hundred points) and fig1
-# (2001 points x 2 hops) lie below it.
+# (Python 3.11, numpy 2.4): the scalar kernel takes about 0.5 us a point
+# plus 0.75 us a hop, numpy's 0.05 us a point once loaded, and loading
+# numpy 0.08 s with the one OpenBLAS thread a CLI process asks for
+# (0.15 s with the default pool).  The costliest grid at the bound,
+# 65536 points of one hop, takes 0.08-0.10 s on the scalar kernel: about
+# the import it saves a fresh process, and 0.08 s more than numpy in a
+# process that has loaded it.  The search windows (a few hundred points)
+# and fig1 (2001 points x 2 hops) lie far below it.
 SCALAR_GRID_WORK = 65536
 
 __all__ = [

@@ -1,6 +1,7 @@
 """CLI contract: output shapes, config precedence, exit codes."""
 
 import ast
+import errno
 import inspect
 import json
 import math
@@ -77,6 +78,44 @@ class TestSpectrumCsv:
         assert b"\r" not in raw
         leftovers = [p for p in tmp_path.iterdir() if p != target]
         assert leftovers == []
+
+
+class TestFileOutput:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask 022", "umask 077"])
+    def test_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # as open(path, "w") creates a new file: 0o666 without the umask
+        target = tmp_path / "split.csv"
+        old = os.umask(umask)
+        try:
+            assert main(["splitting", f"--output={target}"]) == 0
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == mode
+
+    @pytest.mark.parametrize("error", [errno.ENOENT, errno.EISDIR],
+                             ids=["missing directory", "directory"])
+    def test_unwritable_path_exits_2(self, capsys, tmp_path, error):
+        target = tmp_path / "missing" / "x.csv"
+        if error == errno.EISDIR:
+            target = tmp_path / "out"
+            target.mkdir()
+        code, out, err = run_cli(capsys, "splitting", "-o", str(target))
+        assert code == 2 and out == ""
+        assert err == (f"error[output]: cannot write {target}: "
+                       f"{os.strerror(error)}\n")
+        assert [p for p in tmp_path.iterdir() if p != target] == []
+
+    def test_failed_render_leaves_no_temporary_file(self, tmp_path,
+                                                     monkeypatch):
+        def broken(*args):
+            yield b"# half a document\n"
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(cli, "_render_csv", broken)
+        with pytest.raises(RuntimeError):
+            main(["splitting", f"--output={tmp_path / 'x.csv'}"])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestJsonOutputs:
@@ -895,6 +934,46 @@ class TestModuleEntryPoint:
         assert proc.wait(timeout=120) == 1
         assert b"Traceback" not in err
         assert err == b""
+
+
+class TestProcessEntryPoint:
+    """run() starts numpy with one OpenBLAS thread: no module calls BLAS."""
+
+    @staticmethod
+    def run_with(monkeypatch, code=0):
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(
+            os.environ.get("OPENBLAS_NUM_THREADS")) or code)
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        return seen, exit_.value.code
+
+    def test_unset_thread_count_becomes_one(self, monkeypatch):
+        # setenv first, so that the teardown unsets the variable again
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert self.run_with(monkeypatch) == (["1"], 0)
+
+    def test_user_thread_count_is_kept(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert self.run_with(monkeypatch) == (["3"], 0)
+
+    def test_exits_with_the_code_of_main(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert self.run_with(monkeypatch, 3) == (["1"], 3)
+
+    def test_import_leaves_the_environment_alone(self):
+        src = os.path.dirname(os.path.dirname(coalesce.__file__))
+        code = ("import os\n"
+                "before = dict(os.environ)\n"
+                "import coalesce, coalesce.cli\n"
+                "print(dict(os.environ) == before)\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "True\n"
 
 
 class TestOptionDefaults:

@@ -1,5 +1,6 @@
 """Module boundaries: no module of the package reads another module's
-private names, and none imports numpy when it is imported."""
+private names, none imports numpy when it is imported, and none calls
+BLAS or LAPACK."""
 
 import ast
 import pathlib
@@ -120,4 +121,61 @@ def test_numpy_checker_skips_only_function_bodies(tmp_path):
         "line 3: numpy",
         "line 5: numpy.fft",
         "line 9: numpy",
+    ]
+
+
+# numpy's BLAS and LAPACK entry points.  With none of them called, a CLI
+# process loses nothing by starting OpenBLAS with one thread (cli.run).
+BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "outer", "matmul", "einsum",
+              "tensordot"}
+
+
+def blas_uses(path):
+    """The ``@`` products and BLAS/LAPACK names in ``path``, by line."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                   filename=str(path))):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append((node.lineno, "." + node.attr))
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            found.extend((node.lineno, f"import {name}") for name in names
+                         if BLAS_NAMES & set(name.split(".")))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_blas_or_lapack_calls(path):
+    assert blas_uses(path) == []
+
+
+def test_blas_checker_flags_every_form(tmp_path):
+    source = tmp_path / "spectrum.py"
+    source.write_text("import numpy as np\n"
+                      "import numpy.linalg\n"
+                      "from numpy import dot, sum\n"
+                      "from numpy.linalg import norm\n"
+                      "a = np.linalg.solve(m, v)\n"
+                      "b = m @ v\n"
+                      "m @= v\n"
+                      "c = np.einsum('ij,j', m, v) * np.sum(v)\n"
+                      "d = outer(a, b) + a * b\n"
+                      "inner_width = np.vdot(a, b)\n", encoding="utf-8")
+    assert blas_uses(source) == [
+        "line 2: import numpy.linalg",
+        "line 3: import dot",
+        "line 4: import numpy.linalg",
+        "line 5: .linalg",
+        "line 6: @",
+        "line 7: @",
+        "line 8: .einsum",
+        "line 9: outer",
+        "line 10: .vdot",
     ]
