@@ -11,8 +11,9 @@ warning.  `peaks` takes the peak search's tolerances from `spectrum`.
 
 Exit codes: 0 success, 1 stdout closed early (`| head`; stderr stays
 empty), 2 argument/config parse error or an output file that cannot be
-written, 3 domain error (reported on stderr as one line
-'error[<token>]: <message>').
+written, 3 domain error.  A config, output or domain error is reported
+on stderr as one line 'error[<token>]: <message>'; the error's class
+names the token.
 
 Importing this module loads no numpy.  `splitting`, `report`,
 `threshold` (without --numeric) and `sensitivity` and --version run on
@@ -38,7 +39,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 from . import __version__, closed_form, two_mode
 from .errors import (
@@ -46,13 +46,10 @@ from .errors import (
     CoalescenceError,
     DivergentSensitivityError,
     EdgeTruncationError,
-    InternalConsistencyError,
     InvalidParameterError,
-    NotBracketedError,
-    PairIdentificationError,
 )
 
-__all__ = ["RunConfig", "load_config", "main", "run"]
+__all__ = ["load_config", "main", "run"]
 
 # the numeric modules' names the tracking and array subcommands use,
 # bound by _load_numerics() on first use
@@ -63,35 +60,21 @@ CavitySystem = effective_polarizability = maximize_stack_polarizability = None
 # default matcher misses exponent notation such as -1e3 before Python 3.13.
 _NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
-_ERROR_TOKENS = (
-    (DivergentSensitivityError, "divergent-sensitivity"),
-    (AboveThresholdError, "above-threshold"),
-    (NotBracketedError, "not-bracketed"),
-    (EdgeTruncationError, "edge-truncation"),
-    (PairIdentificationError, "pair-identification"),
-    (InternalConsistencyError, "internal-consistency"),
-    (InvalidParameterError, "invalid-parameter"),
-    (CoalescenceError, "domain-error"),
-)
-
 
 class ConfigError(Exception):
     """Malformed or unreadable config file (exit code 2)."""
+
+    token = "config"
 
 
 class OutputError(Exception):
     """Output file that cannot be written (exit code 2)."""
 
-
-@dataclass
-class RunConfig:
-    """Raw key/value options read from a config file."""
-
-    values: dict = field(default_factory=dict)
+    token = "output"
 
 
-def load_config(path) -> RunConfig:
-    """Parse a plain-text 'key = value' config file.
+def load_config(path) -> dict:
+    """Parse a plain-text 'key = value' config file into a dict of strings.
 
     Blank lines and '#' comments are ignored; keys may use '-' or '_'.
     A line without '=' is a parse error.
@@ -111,7 +94,7 @@ def load_config(path) -> RunConfig:
                 f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = stripped.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
-    return RunConfig(values=values)
+    return values
 
 
 def _coerce(raw, typ, key):
@@ -262,17 +245,17 @@ def _build_parser():
 
 def _effective(args, table):
     """Merge flag > config file > default for one subcommand."""
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = load_config(args.config) if args.config else {}
     table = {**table, **_COMMON}
-    for key in cfg.values:
+    for key in cfg:
         if key not in table:
             print(f"warning: unknown config key '{key}' ignored",
                   file=sys.stderr)
     out = {}
     for dest, (typ, default, _help) in table.items():
         value = getattr(args, dest, None)
-        if value is None and dest in cfg.values:
-            value = _coerce(cfg.values[dest], typ, dest)
+        if value is None and dest in cfg:
+            value = _coerce(cfg[dest], typ, dest)
         if value is None:
             value = default
         out[dest] = value
@@ -597,18 +580,9 @@ def main(argv=None) -> int:
         # to devnull, so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ConfigError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return 2
-    except OutputError as exc:
-        print(f"error[output]: {exc}", file=sys.stderr)
-        return 2
-    except CoalescenceError as exc:
-        for cls, token in _ERROR_TOKENS:
-            if isinstance(exc, cls):
-                print(f"error[{token}]: {exc}", file=sys.stderr)
-                break
-        return 3
+    except (ConfigError, OutputError, CoalescenceError) as exc:
+        print(f"error[{exc.token}]: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, CoalescenceError) else 2
 
 
 def run():

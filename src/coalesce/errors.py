@@ -2,7 +2,8 @@
 
 Every error raised on purpose by this package derives from
 :class:`CoalescenceError`, so callers (and the CLI) can catch domain
-failures without swallowing genuine bugs.
+failures without swallowing genuine bugs.  Each class names its CLI
+error token in ``token``; a subclass without one inherits its parent's.
 """
 
 import math
@@ -11,10 +12,14 @@ import math
 class CoalescenceError(Exception):
     """Base class for all domain errors raised by this package."""
 
+    token = "domain-error"
+
 
 class InvalidParameterError(CoalescenceError, ValueError):
     """An argument violates a documented precondition (non-finite,
     out of range, wrong sign, ...)."""
+
+    token = "invalid-parameter"
 
 
 def finite(name, value):
@@ -29,27 +34,39 @@ class AboveThresholdError(CoalescenceError):
     """A closed form was evaluated past the coalescence threshold,
     where it is no longer real-valued."""
 
+    token = "above-threshold"
+
 
 class DivergentSensitivityError(AboveThresholdError):
     """The readout-sensitivity closed form diverges at or beyond the
     coalescence threshold."""
+
+    token = "divergent-sensitivity"
 
 
 class NotBracketedError(CoalescenceError):
     """A root solve found no sign change in its bracket, or did not
     converge in it; or a merge search range does not straddle the merge."""
 
+    token = "not-bracketed"
+
 
 class EdgeTruncationError(CoalescenceError):
     """A half-width search ran into the edge of its allowed window
     before the transmission dropped to half the peak value."""
+
+    token = "edge-truncation"
 
 
 class PairIdentificationError(CoalescenceError):
     """Branch tracking found peaks that cannot belong to one coalescing
     pair (e.g. further than one free spectral range apart)."""
 
+    token = "pair-identification"
+
 
 class InternalConsistencyError(CoalescenceError):
     """A quantity that is guaranteed real/bounded by algebra came out
     otherwise; indicates a broken branch choice, not bad user input."""
+
+    token = "internal-consistency"

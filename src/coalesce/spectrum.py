@@ -19,9 +19,9 @@ follows peaks across displacements of the middle element (a threshold
 sweep row is one step at x = 0).  It starts from one or two seeds at
 x = 0, or from a window, walks outward from x = 0 and refines each
 step's prediction by one bracketed solve of s' = 0 around it, without a
-grid.  Only a window walk's first step and a step whose refinement
-fails a check search a grid window: the previous peaks padded by a few
-kappa, or the given window's width.
+grid.  One reach per step sizes that solve, its check and, when the
+check fails, the grid search over the previous peaks padded by it; a
+given window is searched only by each walk's first step.
 :func:`find_merge_point` solves the merge as a fold of s, without a
 grid.
 """
@@ -349,18 +349,19 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
     from the seeds or the window: up through x >= 0, then down through
     x < 0.  Each step predicts its peaks from the previous ones: a lone
     peak stays put, a pair moves along the two-mode branches of
-    :func:`two_mode.branch_frequencies`.  :func:`_descend` refines each
-    prediction by one :func:`closed_form.newton` on s' over the
-    prediction +- reach, reach = min(0.35, 2 kappa + 2 g |dx|), g the
-    tunneling rate at the first center, and :func:`_seeded_step` checks
-    the result.  A step whose check fails, or without as many previous
-    peaks as members (a window walk's first step, a step after a merge),
-    calls :func:`find_peaks` instead: seeded, over the previous peaks'
-    span plus min(0.35, 8 kappa + 2 g |dx|) on each side; with a window,
-    over its width around the previous peaks' midpoint (the window
-    itself at first), keeping the members nearest that midpoint.  These
-    are the tracker's only calls to :func:`find_peaks`, so counting
-    those counts the fallbacks.
+    :func:`two_mode.branch_frequencies`.  Each step has one reach,
+    min(0.35, 8 kappa + 2 g |dx|), g the tunneling rate at the first
+    center and dx the step from the previous x.  :func:`_descend`
+    refines each prediction by one :func:`closed_form.newton` on s' over
+    the prediction +- reach, and :func:`_seeded_step` checks that each
+    result lies within reach of its previous peak.  A step whose check
+    fails, or without as many previous peaks as members (a step after a
+    merge), calls :func:`find_peaks` over the previous peaks' span plus
+    the reach on each side, keeping the members nearest the previous
+    peaks' midpoint.  A window sizes only the search of a step without
+    previous peaks, each walk's first: :func:`find_peaks` over the
+    window as given.  These are the tracker's only calls to
+    :func:`find_peaks`, so counting those counts the fallbacks.
 
     Returns one tuple of :class:`ResonancePeak`, sorted by k, per x in
     input order; it holds a single peak where a pair has merged.  Raises
@@ -374,16 +375,16 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
         raise InvalidParameterError(
             "track takes seeds or a window: exactly one of the two")
     if seeds is None:
-        lo, hi = _window(*window)
+        window = _window(*window)
         start, members = [], 2
-        center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        center = 0.5 * (window[0] + window[1])
     else:
         start = sorted(map(float, seeds))
         if len(start) not in (1, 2) or not all(map(math.isfinite, start)):
             raise InvalidParameterError(
                 f"seeds must be one or two finite peaks, got {seeds!r}")
         members = len(start)
-        center, half = 0.5 * (start[0] + start[-1]), None
+        center = 0.5 * (start[0] + start[-1])
     kappa = closed_form.bare_linewidth(zeta)
     g_m = two_mode.tunneling_rate(zeta_m, center)
     model = two_mode.TwoModeParams(
@@ -397,7 +398,7 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
         if x < 0.0 <= before:   # the second walk starts from x = 0 again
             previous, before, mid = start, 0.0, center
         system = CavitySystem.with_middle(zeta, zeta_m, x)
-        motion = 2.0 * g_m * abs(x - before)
+        reach = min(0.35, 8.0 * kappa + 2.0 * g_m * abs(x - before))
         kept = None
         if len(previous) == members:
             guesses = previous
@@ -407,15 +408,13 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
                 if None not in branches:
                     guesses = [k + new - old for k, old, new
                                in zip(previous, *branches)]
-            kept = _seeded_step(system, guesses, previous,
-                                min(0.35, 2.0 * kappa + motion))
+            kept = _seeded_step(system, guesses, previous, reach)
         if kept is None:
-            if half is None:
-                pad = min(0.35, 8.0 * kappa + motion)
-                peaks = find_peaks(system, previous[0] - pad,
-                                   previous[-1] + pad)
+            if previous:
+                peaks = find_peaks(system, previous[0] - reach,
+                                   previous[-1] + reach)
             else:
-                peaks = find_peaks(system, mid - half, mid + half)
+                peaks = find_peaks(system, *window)
             if not peaks:
                 raise PairIdentificationError(
                     f"tracking window lost the peak at x = {x}")

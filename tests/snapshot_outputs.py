@@ -1,0 +1,166 @@
+"""Snapshot the CLI's outputs and compare two snapshots.
+
+    PYTHONPATH=src python tests/snapshot_outputs.py write DIR
+    python tests/snapshot_outputs.py compare A B
+
+``write`` runs each command of :data:`COMMANDS` as ``python -m
+coalesce.cli ...`` under the caller's PYTHONPATH, so pointing PYTHONPATH
+at another checkout's ``src`` snapshots that tree.  Each command runs
+in an empty working directory and leaves ``<name>.out``, ``<name>.err``
+and ``<name>.code`` (stdout, stderr, exit code) in DIR.  ``compare``
+counts the files of A and B that are identical and, for each CSV output
+that differs, prints the largest |difference| of each numeric column; it
+exits 0 when every file is identical, else 1.
+"""
+
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+# fig2, fig3 and the threshold sweep track peaks at each of these
+TRACKER_ZETAS = ("-0.3", "-0.5", "-1", "-2", "-3", "-5", "-10", "-20",
+                 "-30", "-100", "-300", "-1000", "-1e4", "-1e5",
+                 "0.5", "1", "2", "5", "10", "30", "100")
+
+COMMANDS = (
+    [("figures", fig, f"--zeta={zeta}") for zeta in TRACKER_ZETAS
+     for fig in ("fig2", "fig3", "threshold-sweep")]
+    + [
+        ("branches",),
+        ("branches", "--zeta=-100", "--zeta-m=-19000", "--xmin=-2e-5",
+         "--xmax=2e-5"),
+        ("branches", "--kmin=6.13", "--kmax=6.23"),
+        ("branches", "--zeta-m=-202", "--kmin=6.13", "--kmax=6.23",
+         "--xmin=-0.001", "--xmax=0.001"),
+        ("branches", "--zeta-m=-150", "--kmin=6.05", "--kmax=6.3",
+         "--xmin=-0.02", "--xmax=0.02", "--xpoints=41"),
+        ("sweep-x",),
+        ("sweep-x", "--zeta=-100", "--zeta-m=-5000", "--xmin=-0.01",
+         "--xmax=0.01", "--xpoints=41"),
+    ]
+    # the short commands at their defaults
+    + [("splitting",), ("report",), ("threshold",),
+       ("threshold", "--numeric"), ("sensitivity",), ("stack",),
+       ("peaks",), ("spectrum",), ("figures", "fig1")]
+    # one command per error token the CLI can reach, and a usage error
+    + [
+        ("threshold", "--config", "missing.cfg"),
+        ("splitting", "-o", "missing/out.csv"),
+        ("peaks", "--grid-per-kappa=5"),
+        ("threshold", "--numeric", "--zm-lo=-120", "--zm-hi=-150"),
+        ("sweep-x", "--zeta=-0.3", "--zeta-m=-0.59", "--xmin=-0.05",
+         "--xmax=0.05", "--xpoints=9"),
+        ("sensitivity", "--zeta-m=-250"),
+        ("spectrum", "--no-such-flag"),
+    ]
+)
+
+_SUFFIXES = (".out", ".err", ".code")
+
+
+def _name(argv):
+    """The file stem of a command: its arguments, joined and made safe."""
+    return re.sub(r"[^A-Za-z0-9.=+-]", "_", "_".join(argv))
+
+
+def write(directory, commands=COMMANDS):
+    """Run each command and store its stdout, stderr and exit code."""
+    os.makedirs(directory, exist_ok=True)
+    env = dict(os.environ)
+    # the commands run elsewhere, so a relative PYTHONPATH is resolved here
+    env["PYTHONPATH"] = os.pathsep.join(
+        os.path.abspath(p) for p in env.get("PYTHONPATH", "").split(os.pathsep)
+        if p)
+    for argv in commands:
+        with tempfile.TemporaryDirectory() as cwd:
+            done = subprocess.run(
+                [sys.executable, "-m", "coalesce.cli", *argv], cwd=cwd,
+                env=env, capture_output=True, check=False)
+        stem = os.path.join(directory, _name(argv))
+        for suffix, data in zip(_SUFFIXES, (done.stdout, done.stderr,
+                                            f"{done.returncode}\n".encode())):
+            with open(stem + suffix, "wb") as fh:
+                fh.write(data)
+
+
+def _table(text):
+    """The header and the rows of a CSV document, metadata dropped."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    if not lines:
+        return [], []
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def drift(a, b):
+    """Largest |difference| per column of two CSV documents.
+
+    Returns ``{column: value}`` for the columns whose cells differ; a
+    column whose cells are not all numbers, or that the two documents
+    do not share row for row, reads nan.
+    """
+    head_a, rows_a = _table(a)
+    head_b, rows_b = _table(b)
+    if head_a != head_b or len(rows_a) != len(rows_b):
+        return {"(shape)": math.nan}
+    out = {}
+    for j, column in enumerate(head_a):
+        worst = 0.0
+        for row_a, row_b in zip(rows_a, rows_b):
+            if row_a[j] == row_b[j]:
+                continue
+            u, v = _number(row_a[j]), _number(row_b[j])
+            if u is None or v is None:
+                worst = math.nan
+                break
+            worst = max(worst, abs(u - v))
+        if worst != 0.0:
+            out[column] = worst
+    return out
+
+
+def compare(a, b, stream=sys.stdout):
+    """Report how many files of snapshots ``a`` and ``b`` are identical."""
+    names = sorted(set(os.listdir(a)) | set(os.listdir(b)))
+    same = 0
+    for entry in names:
+        paths = [os.path.join(a, entry), os.path.join(b, entry)]
+        if not all(map(os.path.exists, paths)):
+            print(f"{entry}: in one snapshot only", file=stream)
+            continue
+        data = []
+        for path in paths:
+            with open(path, "rb") as fh:
+                data.append(fh.read())
+        if data[0] == data[1]:
+            same += 1
+            continue
+        print(f"{entry}: differs", file=stream)
+        if entry.endswith(".out"):
+            for column, worst in drift(*(d.decode() for d in data)).items():
+                print(f"  {column}: max |diff| = {worst:.3g}", file=stream)
+    print(f"{same} of {len(names)} files identical", file=stream)
+    return same == len(names)
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "write":
+        write(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return 0 if compare(argv[1], argv[2]) else 1
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coalesce
-from coalesce import cli, closed_form, csv_rows
+from coalesce import cli, closed_form, csv_rows, errors
 from coalesce.cli import load_config, main
 from coalesce.cli import ConfigError
 from coalesce.core_scatter import CavitySystem
@@ -336,9 +336,24 @@ class TestConfigFile:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("kmin = 5.9\nrefine-tol = 1e-10\n")
         rc = load_config(str(cfg))
-        assert rc.values == {"kmin": "5.9", "refine_tol": "1e-10"}
+        assert rc == {"kmin": "5.9", "refine_tol": "1e-10"}
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.cfg"))
+
+
+# each error class, the token main() reports it with, and the exit code
+ERROR_TOKENS = [
+    (errors.CoalescenceError, "domain-error", 3),
+    (errors.InvalidParameterError, "invalid-parameter", 3),
+    (errors.AboveThresholdError, "above-threshold", 3),
+    (errors.DivergentSensitivityError, "divergent-sensitivity", 3),
+    (errors.NotBracketedError, "not-bracketed", 3),
+    (errors.EdgeTruncationError, "edge-truncation", 3),
+    (errors.PairIdentificationError, "pair-identification", 3),
+    (errors.InternalConsistencyError, "internal-consistency", 3),
+    (cli.ConfigError, "config", 2),
+    (cli.OutputError, "output", 2),
+]
 
 
 class TestExitCodes:
@@ -389,6 +404,41 @@ class TestExitCodes:
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert body == ["k_peak,T_peak,hwhm",
                         "1.86225312127e+00,1.00000000000e+00,nan"]
+
+    @pytest.mark.parametrize("cls, token, code", ERROR_TOKENS,
+                             ids=[token for _, token, _ in ERROR_TOKENS])
+    def test_error_class_names_its_token(self, capsys, monkeypatch, cls,
+                                         token, code):
+        def fail(_values):
+            raise cls("planted failure")
+
+        monkeypatch.setattr(cli, "_cmd_splitting", fail)
+        assert run_cli(capsys, "splitting") == (
+            code, "", f"error[{token}]: planted failure\n")
+
+    def test_the_table_lists_every_error_class(self):
+        domain = {cls for cls in vars(errors).values()
+                  if isinstance(cls, type)
+                  and issubclass(cls, errors.CoalescenceError)}
+        assert domain | {cli.ConfigError, cli.OutputError} == {
+            cls for cls, _, _ in ERROR_TOKENS}
+
+    @pytest.mark.parametrize("parent, token", [
+        (errors.DivergentSensitivityError, "divergent-sensitivity"),
+        (errors.CoalescenceError, "domain-error"),
+        (cli.ConfigError, "config"),
+    ])
+    def test_subclass_inherits_its_parents_token(self, capsys, monkeypatch,
+                                                 parent, token):
+        class Planted(parent):
+            pass
+
+        def fail(_values):
+            raise Planted("planted failure")
+
+        monkeypatch.setattr(cli, "_cmd_splitting", fail)
+        _, _, err = run_cli(capsys, "splitting")
+        assert err == f"error[{token}]: planted failure\n"
 
     def test_lost_peak_is_pair_identification(self, capsys):
         # weak mirrors near the threshold: the broad pair leaves the

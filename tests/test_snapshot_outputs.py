@@ -1,0 +1,37 @@
+"""Smoke test of the output snapshot script, tests/snapshot_outputs.py."""
+
+import io
+import os
+
+import coalesce
+import snapshot_outputs
+
+CHEAP = [("splitting",), ("report",)]
+
+
+def test_snapshots_compare_and_report_a_planted_drift(tmp_path,
+                                                       monkeypatch):
+    src = os.path.dirname(os.path.dirname(coalesce.__file__))
+    monkeypatch.setenv("PYTHONPATH", src)
+    a, b = tmp_path / "a", tmp_path / "b"
+    snapshot_outputs.write(a, CHEAP)
+    snapshot_outputs.write(b, CHEAP)
+    assert sorted(os.listdir(a)) == [
+        "report.code", "report.err", "report.out",
+        "splitting.code", "splitting.err", "splitting.out"]
+    assert (a / "splitting.code").read_text() == "0\n"
+    report = io.StringIO()
+    assert snapshot_outputs.compare(a, b, report)
+    assert report.getvalue() == "6 of 6 files identical\n"
+
+    # move one cell of one CSV by 1e-6
+    out = b / "splitting.out"
+    *head, row = out.read_text().splitlines()
+    two_delta, delta = row.split(",")
+    out.write_text("\n".join(head + [f"{two_delta},"
+                                     f"{float(delta) + 1e-6:.11e}"]) + "\n")
+    report = io.StringIO()
+    assert not snapshot_outputs.compare(a, b, report)
+    assert report.getvalue() == ("splitting.out: differs\n"
+                                 "  delta: max |diff| = 1e-06\n"
+                                 "5 of 6 files identical\n")

@@ -531,12 +531,14 @@ class TestSeededTrack:
         pair = peak_positions(zeta, zeta_m)
         return pair.k_even, pair.k_odd
 
-    @pytest.mark.parametrize("zeta_m", [-196.6, -150.0, -20.0])
+    @pytest.mark.parametrize("zeta_m", [-196.6, -150.0, -20.0,
+                                        0.995 * coalescence_threshold(-10.0)])
     def test_pair_matches_window_search(self, zeta_m, monkeypatch):
         seeds = self.pair_seeds(-10.0, zeta_m)
         seeded = track(-10.0, zeta_m, self.XS, seeds=seeds)
         monkeypatch.setattr(spectrum, "_seeded_step", lambda *a: None)
-        # every step searches: the pair and 10 kappa either side
+        # every step searches: at x = 0 the window, the pair and 10 kappa
+        # either side; after it the previous pair padded by the reach
         searched = track(-10.0, zeta_m, self.XS,
                          window=(min(seeds) - 0.05, max(seeds) + 0.05))
         for x, got, want in zip(self.XS, seeded, searched):
@@ -565,22 +567,61 @@ class TestSeededTrack:
     def test_seeds_on_one_peak_fall_back(self, monkeypatch):
         # both seeds on the lower member: the refined pair is not
         # distinct, so the step searches the seeds' span padded by
-        # 8 kappa on each side, with find_peaks at its defaults
-        searches = []
+        # 8 kappa on each side, with find_peaks at its defaults; the
+        # descents reach as far, one window for the step
+        searches, reaches = [], []
 
         def counted(*args, **kwargs):
             searches.append((args, kwargs))
             return find_peaks(*args, **kwargs)
 
+        def descend(system, seed, reach):
+            reaches.append(reach)
+            return descend_from(system, seed, reach)
+
+        descend_from = spectrum._descend
         monkeypatch.setattr(spectrum, "find_peaks", counted)
+        monkeypatch.setattr(spectrum, "_descend", descend)
         lower, upper = sorted(self.pair_seeds(-10.0, -150.0))
         ((a, b),) = track(-10.0, -150.0, [0.0],
                           seeds=(lower, lower + 1e-12))
         pad = 8.0 * bare_linewidth(-10.0)
         ((_, lo, hi), kwargs), = searches
         assert (lo, hi, kwargs) == (lower - pad, lower + 1e-12 + pad, {})
+        assert reaches == [pad, pad]
         assert (a.k_peak, b.k_peak) == pytest.approx((lower, upper),
                                                      abs=1e-9)
+
+    def test_window_sizes_only_each_walks_first_search(self, monkeypatch):
+        # a window walk's first step searches the window as given; with
+        # the seeded steps refused, each later step searches the previous
+        # pair padded by the step's reach
+        searches = []
+
+        def counted(system, lo, hi):
+            searches.append((lo, hi))
+            return find_peaks(system, lo, hi)
+
+        monkeypatch.setattr(spectrum, "find_peaks", counted)
+        window, zm = (6.13, 6.23), -196.6
+        xs = [-0.002, -0.001, 0.0, 0.001, 0.002]
+        track(-10.0, zm, xs, window=window)
+        assert searches == [window, window]
+
+        searches.clear()
+        monkeypatch.setattr(spectrum, "_seeded_step", lambda *a: None)
+        tracked = dict(zip(xs, track(-10.0, zm, xs, window=window)))
+        kappa = bare_linewidth(-10.0)
+        g = tunneling_rate(zm, 0.5 * (window[0] + window[1]))
+
+        def padded(before, x):
+            reach = min(0.35, 8.0 * kappa + 2.0 * g * abs(x - before))
+            pair = tracked[before]
+            return (pair[0].k_peak - reach, pair[-1].k_peak + reach)
+
+        assert searches == [window, padded(0.0, 0.001),
+                            padded(0.001, 0.002), window,
+                            padded(-0.001, -0.002)]
 
     @pytest.mark.parametrize("zeta_m", [-150.0, coalescence_threshold(-10.0)])
     def test_descent_refuses_a_seed_where_s_is_not_convex(self, zeta_m):
