@@ -15,7 +15,9 @@ written, 3 domain error.  A config, output or domain error is reported
 on stderr as one line 'error[<token>]: <message>'; the error's class
 names the token.
 
-Importing this module loads no numpy.  `splitting`, `report`,
+Importing this module loads neither numpy nor dataclasses: the
+package's records are NamedTuples, and `report` and `sensitivity` print
+theirs field by field in order (._asdict()).  `splitting`, `report`,
 `threshold` (without --numeric) and `sensitivity` and --version run on
 the closed forms and the standard library alone.  The trackers (`figures
 fig2`, `figures fig3`, `figures threshold-sweep`, and `sweep-x` and
@@ -473,32 +475,21 @@ def _cmd_sensitivity(values):
             raise DivergentSensitivityError(str(exc)) from exc
     report = two_mode.readout_sensitivity(values["zeta"], values["zeta_m"],
                                           omega)
-    record = {
-        "omega": omega,
-        "g_m": two_mode.tunneling_rate(values["zeta_m"], omega),
-        "g2_base": report.g2_base,
-        "g2": report.g2,
-        "enhancement": report.enhancement,
-        "x_small_bound": report.x_small_bound,
-        "lamb_dicke_cap": report.lamb_dicke_cap,
-    }
+    record = {"omega": omega,
+              "g_m": two_mode.tunneling_rate(values["zeta_m"], omega),
+              **report._asdict()}
+    if (values["mass"] is None) != (values["mech_freq"] is None):
+        raise InvalidParameterError(
+            "--mass and --mech-freq must be given together")
     if values["mass"] is not None:
-        if values["mech_freq"] is None:
-            raise InvalidParameterError(
-                "--mech-freq is required together with --mass")
         membrane = two_mode.MembranePhysical(
             mass=values["mass"], mech_freq=values["mech_freq"],
             temperature=values["temperature"],
             wavelength=values["wavelength"], zeta_m=values["zeta_m"])
         phys = two_mode.physical_enhancement(membrane)
-        record.update({
-            "x_zpf": phys.x_zpf,
-            "x_rms": phys.x_rms,
-            "nbar": phys.nbar,
-            "eta": phys.eta,
-            "physical_lamb_dicke_cap": phys.lamb_dicke_cap,
-            "attainable_enhancement": phys.attainable_enhancement,
-        })
+        # the membrane's lamb_dicke_cap, in its place, beside the report's
+        record.update({"physical_" + k if k in record else k: v
+                       for k, v in phys._asdict().items()})
     return None, record
 
 
@@ -523,10 +514,8 @@ def _cmd_stack(values):
 def _cmd_report(values):
     rep = closed_form.report(values["zeta"], values["zeta_m"],
                              values["pair_index"])
-    record = {"kappa": rep.kappa, "delta": rep.delta,
-              "zeta_m_star": rep.zeta_m_star, "eps_plus": rep.eps_plus,
-              "eps_minus": rep.eps_minus, "pair_gap": rep.pair_gap,
-              "enhancement": None, "omega": None, "g_m": None}
+    record = {**rep._asdict(), "enhancement": None, "omega": None,
+              "g_m": None}
     if rep.pair_gap is not None:
         omega = closed_form.pair_center(values["zeta"], values["zeta_m"],
                                         values["pair_index"])

@@ -26,7 +26,6 @@ Conventions fixed here (branch choices the formulas leave open):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import (
@@ -353,8 +352,7 @@ def multilayer_threshold(zeta, n_layers):
     return square ** (1.0 / n) / 2.0 ** ((n - 2.0) / n)
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     """Bundle of the closed forms for one (zeta, zeta_m) configuration.
 
     ``eps_plus``/``eps_minus``/``pair_gap`` are None above the

@@ -41,8 +41,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidParameterError, finite as _finite
 
@@ -72,24 +71,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CavitySystem:
+class _Cavity(NamedTuple):
+    zeta_end: float
+    elements: tuple = ()
+
+
+class CavitySystem(_Cavity):
     """A symmetric cavity of unit length with interior thin scatterers.
 
     ``zeta_end`` is the polarizability of both end mirrors (at 0 and 1);
     ``elements`` is an ordered tuple of ``(position, polarizability)``
     pairs with positions strictly increasing and strictly inside (0, 1).
+    The constructor checks both; the kernels walk the (gap, zeta) hops
+    it derives from them.
     """
 
-    zeta_end: float
-    elements: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "zeta_end",
-                           _finite("zeta_end", self.zeta_end))
+    def __new__(cls, zeta_end, elements=()):
+        zeta_end = _finite("zeta_end", zeta_end)
         els, hops = [], []
         prev = 0.0
-        for item in self.elements:
+        for item in elements:
             pos, zeta = item
             pos = _finite("element position", pos)
             zeta = _finite("element polarizability", zeta)
@@ -102,9 +103,12 @@ class CavitySystem:
             hops.append((pos - prev, zeta))
             prev = pos
             els.append((pos, zeta))
-        hops.append((1.0 - prev, self.zeta_end))   # (gap, zeta) steps
-        object.__setattr__(self, "elements", tuple(els))
-        object.__setattr__(self, "_hops", tuple(hops))
+        hops.append((1.0 - prev, zeta_end))   # (gap, zeta) steps
+        self = super().__new__(cls, zeta_end, tuple(els))
+        self._hops = tuple(hops)   # in __dict__: a tuple takes no slots
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))   # _replace checks
 
     @classmethod
     def empty(cls, zeta_end):

@@ -14,8 +14,7 @@ trace after another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__, closed_form, spectrum
 from .core_scatter import CavitySystem
@@ -36,14 +35,15 @@ FIG2_ZETA_M_LIST = (-0.5, -5.0, -50.0)
 FIG3_ZETA_M = -196.6
 
 
-@dataclass
-class FigureDataset:
-    """Named numeric series plus the parameters that regenerate them."""
+class FigureDataset(NamedTuple):
+    """Named numeric series plus the parameters that regenerate them.
 
-    name: str
+    ``annotations`` is None for a figure without derived series.
+    """
+
     columns: Dict[str, tuple]
     params: Dict[str, object]
-    annotations: Dict[str, tuple] = field(default_factory=dict)
+    annotations: Optional[Dict[str, tuple]] = None
 
 
 def thread_count():
@@ -98,7 +98,7 @@ def run_fig1_spectra(zeta=DEFAULT_ZETA, zeta_m_list=FIG1_ZETA_M_LIST,
               "k_window": [k_min, k_max],
               "n_points": int(n_points),
               "version": __version__}
-    return FigureDataset(name="fig1_spectra", columns=columns, params=params,
+    return FigureDataset(columns=columns, params=params,
                          annotations=annotations)
 
 
@@ -149,8 +149,7 @@ def run_fig2_resonant_transmission(zeta=DEFAULT_ZETA, zeta_m_list=None,
               "x_grid": [float(x) for x in xs],
               "pair_index": int(pair_index),
               "version": __version__}
-    return FigureDataset(name="fig2_resonant_transmission", columns=columns,
-                         params=params)
+    return FigureDataset(columns=columns, params=params)
 
 
 def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=None, x_grid=None,
@@ -187,8 +186,7 @@ def run_fig3_mode_pulling(zeta=DEFAULT_ZETA, zeta_m=None, x_grid=None,
               "x_grid": [float(x) for x in xs],
               "pair_index": int(pair_index),
               "version": __version__}
-    return FigureDataset(name="fig3_mode_pulling", columns=columns,
-                         params=params)
+    return FigureDataset(columns=columns, params=params)
 
 
 def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
@@ -244,5 +242,4 @@ def run_threshold_sweep(zeta=DEFAULT_ZETA, zeta_m_grid=None, pair_index=1):
               "zeta_m_star": star,
               "zeta_m_merge": merge,
               "version": __version__}
-    return FigureDataset(name="threshold_sweep", columns=columns,
-                         params=params)
+    return FigureDataset(columns=columns, params=params)

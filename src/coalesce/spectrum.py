@@ -13,24 +13,24 @@ runtime dependency.  A search grid is a list of floats, evaluated on the
 scalar kernel and searched in Python, when its work (points x hops) is
 at most :data:`core_scatter.SCALAR_GRID_WORK`, as every window of a few
 linewidths is; only a larger grid, and :func:`scan_transmission`,
-import numpy.  Everything is a pure function of its inputs: identical
-calls return identical results.  :func:`track` is the one loop that
-follows peaks across displacements of the middle element (a threshold
-sweep row is one step at x = 0).  It starts from one or two seeds at
-x = 0, or from a window, walks outward from x = 0 and refines each
-step's prediction by one bracketed solve of s' = 0 around it, without a
-grid.  One reach per step sizes that solve, its check and, when the
-check fails, the grid search over the previous peaks padded by it; a
-given window is searched only by each walk's first step.
-:func:`find_merge_point` solves the merge as a fold of s, without a
-grid.
+import numpy; nothing here imports dataclasses.  A peak is an immutable
+:class:`ResonancePeak` NamedTuple ``(k_peak, T_peak)``.  Everything is
+a pure function of its inputs: identical calls return identical
+results.  :func:`track` is the one loop that follows peaks across
+displacements of the middle element (a threshold sweep row is one step
+at x = 0).  It starts from one or two seeds at x = 0, or from a
+window, walks outward from x = 0 and refines each step's prediction by
+one bracketed solve of s' = 0 around it, without a grid.  One reach
+per step sizes that solve, its check and, when the check fails, the
+grid search over the previous peaks padded by it; a given window is
+searched only by each walk's first step.  :func:`find_merge_point`
+solves the merge as a fold of s, without a grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from . import closed_form, two_mode
 from .core_scatter import (
@@ -66,8 +66,7 @@ _REFINE_TOL = 1e-10   # 1e-12 moves no peak of 300 pair windows by > 9e-16
 _PROMINENCE = 1e-9
 
 
-@dataclass(frozen=True)
-class ResonancePeak:
+class ResonancePeak(NamedTuple):
     """A refined transmission maximum; :func:`peak_halfwidth` sizes it."""
 
     k_peak: float

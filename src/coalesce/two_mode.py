@@ -14,8 +14,7 @@ dimensionless (c = 1, L = 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import closed_form
 from .errors import (
@@ -46,25 +45,31 @@ HBAR = 1.054571817e-34      # J s
 BOLTZMANN = 1.380649e-23    # J / K
 
 
-@dataclass(frozen=True)
-class TwoModeParams:
-    """Reduced-model parameters: pair center, half-splitting, linewidth,
-    tunneling rate per displacement (all in units c/L; g_m per unit L)."""
-
+class _TwoMode(NamedTuple):
     omega: float
     delta: float
     kappa: float
     g_m: float
 
-    def __post_init__(self):
-        for name in ("omega", "delta", "kappa", "g_m"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+
+class TwoModeParams(_TwoMode):
+    """Reduced-model parameters: pair center, half-splitting, linewidth,
+    tunneling rate per displacement (all in units c/L; g_m per unit L)."""
+
+    __slots__ = ()
+
+    def __new__(cls, omega, delta, kappa, g_m):
+        self = super().__new__(cls, *map(_finite, cls._fields,
+                                         (omega, delta, kappa, g_m)))
         if self.kappa <= 0:
             raise InvalidParameterError(f"kappa must be > 0, got {self.kappa}")
         if self.delta < 0:
             raise InvalidParameterError(f"delta must be >= 0, got {self.delta}")
         if self.g_m < 0:
             raise InvalidParameterError(f"g_m must be >= 0, got {self.g_m}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))   # _replace checks
 
     @classmethod
     def from_polarizabilities(cls, zeta, zeta_m, n=1):
@@ -159,8 +164,7 @@ def quadratic_coupling_base(zeta_m, omega):
     return 2.0 * om * om * abs(zm)
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
+class SensitivityReport(NamedTuple):
     """Squared-displacement readout figures for one configuration.
 
     ``g2`` is the x^2 coefficient of the pulled transmission-peak
@@ -210,30 +214,35 @@ def readout_sensitivity(zeta, zeta_m, omega):
                              lamb_dicke_cap=cap)
 
 
-@dataclass(frozen=True)
-class MembranePhysical:
-    """SI parameters of a mechanical membrane used as the middle element."""
-
+class _Membrane(NamedTuple):
     mass: float           # kg
     mech_freq: float      # rad/s
     temperature: float    # K (0 allowed: ground state)
     wavelength: float     # m
     zeta_m: float
 
-    def __post_init__(self):
-        for name in ("mass", "mech_freq", "temperature", "wavelength",
-                     "zeta_m"):
-            object.__setattr__(self, name, _finite(name, getattr(self, name)))
+
+class MembranePhysical(_Membrane):
+    """SI parameters of a mechanical membrane used as the middle element."""
+
+    __slots__ = ()
+
+    def __new__(cls, mass, mech_freq, temperature, wavelength, zeta_m):
+        self = super().__new__(cls, *map(
+            _finite, cls._fields,
+            (mass, mech_freq, temperature, wavelength, zeta_m)))
         if self.mass <= 0 or self.mech_freq <= 0 or self.wavelength <= 0:
             raise InvalidParameterError(
                 "mass, mech_freq and wavelength must be > 0")
         if self.temperature < 0:
             raise InvalidParameterError(
                 f"temperature must be >= 0, got {self.temperature}")
+        return self
+
+    _make = classmethod(lambda cls, values: cls(*values))   # _replace checks
 
 
-@dataclass(frozen=True)
-class PhysicalEnhancement:
+class PhysicalEnhancement(NamedTuple):
     """Displacement scales and enhancement ceiling for a real membrane."""
 
     x_zpf: float                  # m

@@ -45,6 +45,12 @@ COMMANDS = (
     + [("splitting",), ("report",), ("threshold",),
        ("threshold", "--numeric"), ("sensitivity",), ("stack",),
        ("peaks",), ("spectrum",), ("figures", "fig1")]
+    # the records with every column: the membrane block, and a report
+    # above threshold with its empty cells
+    + [("sensitivity", "--zeta=-10", "--zeta-m=-150", "--mass=1e-10",
+        "--mech-freq=6e5", "--temperature=4", *fmt)
+       for fmt in ((), ("--format=json",))]
+    + [("report", "--zeta=-10", "--zeta-m=-250")]
     # one command per error token the CLI can reach, and a usage error
     + [
         ("threshold", "--config", "missing.cfg"),
@@ -54,6 +60,7 @@ COMMANDS = (
         ("sweep-x", "--zeta=-0.3", "--zeta-m=-0.59", "--xmin=-0.05",
          "--xmax=0.05", "--xpoints=9"),
         ("sensitivity", "--zeta-m=-250"),
+        ("sensitivity", "--mech-freq=6e5"),
         ("spectrum", "--no-such-flag"),
     ]
 )

@@ -181,6 +181,30 @@ class TestJsonOutputs:
         assert data["x_zpf"] == pytest.approx(9.1608e-16, rel=1e-4)
 
 
+class TestRecordContract:
+    @pytest.mark.parametrize("argv, header", [
+        (("report", "--zeta-m=-250"),
+         "kappa,delta,zeta_m_star,eps_plus,eps_minus,pair_gap,enhancement,"
+         "omega,g_m"),
+        (("sensitivity", "--mass=1e-10", "--mech-freq=6e5"),
+         "omega,g_m,g2_base,g2,enhancement,x_small_bound,lamb_dicke_cap,"
+         "x_zpf,x_rms,nbar,eta,physical_lamb_dicke_cap,"
+         "attainable_enhancement"),
+    ], ids=["report", "sensitivity SI"])
+    def test_exact_header(self, capsys, argv, header):
+        code, out, _ = run_cli(capsys, *argv)
+        body = [ln for ln in out.splitlines() if not ln.startswith("#")]
+        assert code == 0
+        assert body[0] == header and len(body) == 2
+
+    @pytest.mark.parametrize("half", ["--mass=1e-10", "--mech-freq=6e5"])
+    def test_lone_membrane_flag_refused(self, capsys, half):
+        code, out, err = run_cli(capsys, "sensitivity", half)
+        assert code == 3 and out == ""
+        assert err == ("error[invalid-parameter]: --mass and --mech-freq "
+                       "must be given together\n")
+
+
 class TestBranchesContract:
     def test_exact_header(self, capsys):
         code, out, _ = run_cli(capsys, "branches", "--xpoints", "3",
@@ -812,11 +836,12 @@ class TestCsvRenderer:
 def outputs_in_fresh_interpreter(argvs, block_numpy):
     """(exit code, stdout) of each argv, run by main() in one new process.
 
-    With ``block_numpy`` the process makes ``import numpy`` fail before
-    it imports the package.
+    With ``block_numpy`` the process makes ``import numpy`` and ``import
+    dataclasses`` fail before it imports the package.
     """
     src = os.path.dirname(os.path.dirname(coalesce.__file__))
-    block = "sys.modules['numpy'] = None\n" if block_numpy else ""
+    block = ("sys.modules['numpy'] = sys.modules['dataclasses'] = None\n"
+             if block_numpy else "")
     code = ("import contextlib, io, json, sys\n"
             + block +
             "import coalesce.cli\n"
@@ -848,11 +873,12 @@ class TestRuntimeWithoutNumpy:
         src = os.path.dirname(os.path.dirname(coalesce.__file__))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, coalesce.cli; print('numpy' in sys.modules)"],
+             "import sys, coalesce.cli\n"
+             "print({'numpy', 'dataclasses', 'inspect'} & set(sys.modules))"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "set()\n"
 
     # the tracking subcommands at their default grids
     TRACKERS = [["figures", "fig2"], ["figures", "fig3"], ["sweep-x"],

@@ -344,6 +344,14 @@ class TestCavitySystemValidation:
         with pytest.raises(InvalidParameterError):
             CavitySystem(zeta_end=-1.0, elements=((0.5, math.inf),))
 
+    def test_replace_checks_and_rederives(self):
+        system = CavitySystem.with_middle(-10.0, -50.0)
+        with pytest.raises(InvalidParameterError, match="strictly inside"):
+            system._replace(elements=((1.2, -1.0),))
+        moved = system._replace(elements=((0.6, -50.0),))
+        assert transmission(moved, 6.2) == transmission(
+            CavitySystem.with_middle(-10.0, -50.0, 0.1), 6.2)
+
 
 class TestParity:
     @given(st.floats(-10.0, -0.2), st.floats(-40.0, 40.0),

@@ -1,4 +1,5 @@
-"""The package namespace: lazy re-exports, `__all__`, `dir` and `import *`."""
+"""The package namespace: lazy re-exports, `__all__`, `dir` and `import *`;
+the immutability of the package's records."""
 
 import importlib
 import os
@@ -86,3 +87,46 @@ def test_package_import_loads_no_submodule():
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "-200.9975124224178", "False"]
+
+
+def membrane():
+    return coalesce.MembranePhysical(mass=1e-10, mech_freq=6e5,
+                                     temperature=4.0, wavelength=1e-6,
+                                     zeta_m=-150.0)
+
+
+# one instance of each immutable record, and its fields
+RECORDS = {
+    "CavitySystem": (lambda: coalesce.CavitySystem.with_middle(-10.0, -50.0),
+                     ["zeta_end", "elements"]),
+    "ResonancePeak": (lambda: coalesce.ResonancePeak(k_peak=6.2, T_peak=0.5),
+                      ["k_peak", "T_peak"]),
+    "ClosedFormReport": (lambda: coalesce.report(-10.0, -150.0),
+                         ["kappa", "delta", "zeta_m_star", "eps_plus",
+                          "eps_minus", "pair_gap"]),
+    "TwoModeParams": (
+        lambda: coalesce.TwoModeParams.from_polarizabilities(-10.0, -150.0),
+        ["omega", "delta", "kappa", "g_m"]),
+    "SensitivityReport": (
+        lambda: coalesce.readout_sensitivity(
+            -10.0, -150.0, coalesce.pair_center(-10.0, -150.0)),
+        ["g2_base", "g2", "enhancement", "x_small_bound", "lamb_dicke_cap"]),
+    "MembranePhysical": (membrane, ["mass", "mech_freq", "temperature",
+                                    "wavelength", "zeta_m"]),
+    "PhysicalEnhancement": (
+        lambda: coalesce.physical_enhancement(membrane()),
+        ["x_zpf", "x_rms", "nbar", "eta", "lamb_dicke_cap",
+         "attainable_enhancement"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_fields_refuse_assignment(name):
+    make, fields = RECORDS[name]
+    record = make()
+    assert type(record) is getattr(coalesce, name)
+    for field in fields:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+        assert getattr(record, field) == before

@@ -248,6 +248,8 @@ class TestPhysicalEnhancement:
         with pytest.raises(InvalidParameterError):
             MembranePhysical(mass=1e-10, mech_freq=1.0, temperature=-1.0,
                              wavelength=1e-6, zeta_m=-10.0)
+        with pytest.raises(InvalidParameterError, match="temperature"):
+            self.membrane(0.0)._replace(temperature=-1.0)
 
 
 class TestParamsFactory:
@@ -265,3 +267,5 @@ class TestParamsFactory:
             TwoModeParams(omega=6.0, delta=0.01, kappa=0.0, g_m=1.0)
         with pytest.raises(InvalidParameterError):
             TwoModeParams(omega=6.0, delta=-0.01, kappa=0.01, g_m=1.0)
+        with pytest.raises(InvalidParameterError, match="kappa"):
+            reference_params()._replace(kappa=0.0)
