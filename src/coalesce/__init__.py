@@ -10,9 +10,10 @@ readout sensitivity of a movable middle element.
 Units: c = 1, L = 1 (wavenumber = angular frequency); SI units appear
 only in the membrane enhancement estimates of :mod:`coalesce.two_mode`.
 
-The names below load their module on first access (PEP 562).  No
-module imports numpy at module level; the functions that build arrays
-import it when they run.
+The names below load their module on first access (PEP 562); the
+submodules load only through the import system.  No module imports
+numpy at module level; the functions that build arrays import it when
+they run.
 """
 
 import importlib
@@ -54,8 +55,6 @@ __all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
     if name in _MODULE_OF:
         module = importlib.import_module(f".{_MODULE_OF[name]}", __name__)
         return getattr(module, name)

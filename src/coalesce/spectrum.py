@@ -107,7 +107,10 @@ def sample_transmission(system: CavitySystem, k_min, k_max, n_points):
 
     ``(ks, ts)`` are lists of floats for a grid within
     :data:`core_scatter.SCALAR_GRID_WORK`, else numpy arrays; the
-    wavenumbers are those of :func:`scan_transmission` either way.
+    wavenumbers are those of :func:`scan_transmission` either way.  The
+    CLI's ``spectrum`` keeps :func:`scan_transmission`: past _FMT_ROWS rows
+    its document loads numpy anyway, and there the scalar kernel is slower
+    (30000 points: 280 against 238 ms a process on 2 cores).
     """
     k_min, k_max, n = _samples(k_min, k_max, n_points)
     ks = grid(k_min, k_max, n, len(system.elements) + 1)
@@ -347,10 +350,11 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
     are checked first.  Two walks go outward from x = 0, each starting
     from the seeds or the window: up through x >= 0, then down through
     x < 0.  Each step predicts its peaks from the previous ones: a lone
-    peak stays put, a pair moves along the two-mode branches of
-    :func:`two_mode.branch_frequencies`.  Each step has one reach,
-    min(0.35, 8 kappa + 2 g |dx|), g the tunneling rate at the first
-    center and dx the step from the previous x.  :func:`_descend`
+    peak stays put, a pair moves along the branches of the model
+    ``two_mode.TwoModeParams.at(zeta, zeta_m, center)``, center the
+    seeds' or the window's midpoint.  Each step has one reach,
+    min(0.35, 8 kappa + 2 g_m |dx|), with the model's kappa and g_m and
+    dx the step from the previous x.  :func:`_descend`
     refines each prediction by one :func:`closed_form.newton` on s' over
     the prediction +- reach, and :func:`_seeded_step` checks that each
     result lies within reach of its previous peak.  A step whose check
@@ -384,11 +388,7 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
                 f"seeds must be one or two finite peaks, got {seeds!r}")
         members = len(start)
         center = 0.5 * (start[0] + start[-1])
-    kappa = closed_form.bare_linewidth(zeta)
-    g_m = two_mode.tunneling_rate(zeta_m, center)
-    model = two_mode.TwoModeParams(
-        omega=center, delta=0.5 * closed_form.mode_splitting(zeta_m),
-        kappa=kappa, g_m=g_m)
+    model = two_mode.TwoModeParams.at(zeta, zeta_m, center)
     previous, before, mid = start, 0.0, center
     out = [None] * len(xs)
     # x >= 0 ascending, then x < 0 descending
@@ -397,7 +397,8 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
         if x < 0.0 <= before:   # the second walk starts from x = 0 again
             previous, before, mid = start, 0.0, center
         system = CavitySystem.with_middle(zeta, zeta_m, x)
-        reach = min(0.35, 8.0 * kappa + 2.0 * g_m * abs(x - before))
+        reach = min(0.35, 8.0 * model.kappa
+                    + 2.0 * model.g_m * abs(x - before))
         kept = None
         if len(previous) == members:
             guesses = previous

@@ -72,14 +72,11 @@ class TwoModeParams(_TwoMode):
     _make = classmethod(lambda cls, values: cls(*values))   # _replace checks
 
     @classmethod
-    def from_polarizabilities(cls, zeta, zeta_m, n=1):
-        """Reduce a (zeta, zeta_m) cavity to two-mode parameters.
-
-        The center frequency is the midpoint of the pulled pair near
-        2*n*pi, so this requires |zeta_m| below the coalescence
-        threshold.
-        """
-        omega = closed_form.pair_center(zeta, zeta_m, n)
+    def at(cls, zeta, zeta_m, omega):
+        """The (zeta, zeta_m) cavity's two-mode model at omega: delta =
+        mode_splitting(zeta_m)/2, kappa = bare_linewidth(zeta), g_m =
+        tunneling_rate(zeta_m, omega).  The pulled pair near 2*n*pi has
+        omega = ``closed_form.pair_center(zeta, zeta_m, n)``."""
         return cls(omega=omega,
                    delta=0.5 * closed_form.mode_splitting(zeta_m),
                    kappa=closed_form.bare_linewidth(zeta),
@@ -199,9 +196,7 @@ def readout_sensitivity(zeta, zeta_m, omega):
             f"|zeta_m_star| = {abs(star):g}: readout sensitivity diverges")
     enhancement = 2.0 * z * z / math.sqrt(star * star - zm * zm)
     base = quadratic_coupling_base(zm, omega)
-    delta = 0.5 * closed_form.mode_splitting(zm)
-    kappa = closed_form.bare_linewidth(z)
-    g_m = tunneling_rate(zm, omega)
+    _, delta, kappa, g_m = TwoModeParams.at(z, zm, omega)
     gap2 = delta * delta - kappa * kappa
     x_bound = math.sqrt(max(gap2, 0.0)) / g_m if g_m > 0 else math.inf
     eta_at_bound = float(omega) * x_bound

@@ -45,6 +45,11 @@ COMMANDS = (
     + [("splitting",), ("report",), ("threshold",),
        ("threshold", "--numeric"), ("sensitivity",), ("stack",),
        ("peaks",), ("spectrum",), ("figures", "fig1")]
+    # paths that no command above reaches: effective_polarizability,
+    # numpy arrays and annotations in JSON, and a nan half-width
+    + [("stack", "--spacing=0.3"), ("spectrum", "--format=json"),
+       ("figures", "fig1", "--format=json"),
+       ("peaks", "--zeta=-0.3", "--kmin=0.5", "--kmax=3.5")]
     # the records with every column: the membrane block, and a report
     # above threshold with its empty cells
     + [("sensitivity", "--zeta=-10", "--zeta-m=-150", "--mass=1e-10",

@@ -128,7 +128,8 @@ def test_criterion_06_two_mode_spectral_agreement():
     with criterion(6, "two-mode transmission matches full numerics to 0.03 "
                       "within +-5 kappa"):
         for zeta_m in (-150.0, -196.6):
-            params = co.TwoModeParams.from_polarizabilities(ZETA, zeta_m)
+            params = co.TwoModeParams.at(ZETA, zeta_m,
+                                         co.pair_center(ZETA, zeta_m))
             system = co.CavitySystem.with_middle(ZETA, zeta_m)
             grid = np.linspace(params.omega - 5.0 * KAPPA,
                                params.omega + 5.0 * KAPPA, 4001)

@@ -71,7 +71,7 @@ def test_star_import_binds_the_exports():
 def test_unknown_attribute_raises(name):
     with pytest.raises(AttributeError, match=name):
         getattr(coalesce, name)
-    assert not hasattr(coalesce.core_scatter, name)
+    assert not hasattr(importlib.import_module("coalesce.core_scatter"), name)
 
 
 def test_package_import_loads_no_submodule():
@@ -87,6 +87,27 @@ def test_package_import_loads_no_submodule():
         text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "-200.9975124224178", "False"]
+
+
+def test_submodules_load_through_the_import_system():
+    # the package resolves only its exported names, so `from . import
+    # closed_form, two_mode` in cli imports both the normal way and
+    # -X importtime logs a line for each
+    src = os.path.dirname(os.path.dirname(coalesce.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         "import coalesce\n"
+         "print(hasattr(coalesce, 'two_mode'))\n"
+         "import coalesce.cli"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rsplit("|", 1)[-1].strip()
+              for line in proc.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"coalesce.cli", "coalesce.closed_form",
+            "coalesce.two_mode"} <= logged
+    assert proc.stdout == "False\n"
 
 
 def membrane():
@@ -105,7 +126,8 @@ RECORDS = {
                          ["kappa", "delta", "zeta_m_star", "eps_plus",
                           "eps_minus", "pair_gap"]),
     "TwoModeParams": (
-        lambda: coalesce.TwoModeParams.from_polarizabilities(-10.0, -150.0),
+        lambda: coalesce.TwoModeParams.at(
+            -10.0, -150.0, coalesce.pair_center(-10.0, -150.0)),
         ["omega", "delta", "kappa", "g_m"]),
     "SensitivityReport": (
         lambda: coalesce.readout_sensitivity(

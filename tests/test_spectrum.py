@@ -27,7 +27,7 @@ from coalesce import (
     tunneling_rate,
     pair_center,
 )
-from coalesce import cli, core_scatter, spectrum
+from coalesce import cli, core_scatter, spectrum, two_mode
 from coalesce.cli import main
 from coalesce.closed_form import newton
 from coalesce.spectrum import _grid_maxima
@@ -548,6 +548,24 @@ class TestSeededTrack:
                 assert a.T_peak == pytest.approx(b.T_peak, abs=1e-12)
                 system = CavitySystem.with_middle(-10.0, zeta_m, x)
                 assert a.T_peak == transmission(system, a.k_peak)
+
+    def test_model_is_reduced_at_the_starts_midpoint(self, monkeypatch):
+        calls = []
+        reduce = two_mode.TwoModeParams.at
+
+        def recorded(cls, *args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(two_mode.TwoModeParams, "at",
+                            classmethod(recorded))
+        lower, upper = sorted(self.pair_seeds(-10.0, -196.6))
+        track(-10.0, -196.6, self.XS, seeds=(upper, lower))
+        track(-10.0, -196.6, self.XS, seeds=(upper,))
+        track(-10.0, -196.6, [0.0], window=(6.13, 6.23))
+        assert calls == [(-10.0, -196.6, 0.5 * (lower + upper)),
+                         (-10.0, -196.6, upper),
+                         (-10.0, -196.6, 0.5 * (6.13 + 6.23))]
 
     def test_failed_seed_falls_back_to_a_window_search(self, monkeypatch):
         searches = []

@@ -33,7 +33,41 @@ ENHANCEMENT = 4.7830467849337       # 2 zeta^2 / sqrt(star^2 - zeta_m^2)
 
 
 def reference_params():
-    return TwoModeParams.from_polarizabilities(-10.0, -196.6)
+    return TwoModeParams.at(-10.0, -196.6, pair_center(-10.0, -196.6))
+
+
+class TestReduction:
+    CASES = [(-10.0, -196.6, OMEGA), (-10.0, -5.0, 6.2), (-10.0, 0.0, 6.2),
+             (-100.0, 30.0, 3.1), (0.5, -0.2, 12.7),
+             (-1e4, -5000.0, 6.283185)]
+
+    @pytest.mark.parametrize("zeta, zeta_m, omega", CASES)
+    def test_fields_are_the_closed_forms(self, zeta, zeta_m, omega):
+        p = TwoModeParams.at(zeta, zeta_m, omega)
+        assert p == (omega, 0.5 * mode_splitting(zeta_m),
+                     bare_linewidth(zeta), tunneling_rate(zeta_m, omega))
+        assert type(p) is TwoModeParams
+
+    def test_frozen_reference(self):
+        p = reference_params()
+        assert p.omega == pair_center(-10.0, -196.6)
+        assert tuple(p) == pytest.approx((OMEGA, DELTA, KAPPA, G_M),
+                                         rel=1e-12)
+
+    @pytest.mark.parametrize("zeta, zeta_m, omega", CASES)
+    def test_sensitivity_bound_reads_the_model(self, zeta, zeta_m, omega):
+        _, delta, kappa, g_m = TwoModeParams.at(zeta, zeta_m, omega)
+        rep = readout_sensitivity(zeta, zeta_m, omega)
+        # below the threshold delta > kappa; zeta_m = 0 has no coupling
+        want = (math.sqrt(delta * delta - kappa * kappa) / g_m if g_m > 0
+                else math.inf)
+        assert rep.x_small_bound == want
+
+    def test_refuses_what_the_closed_forms_refuse(self):
+        with pytest.raises(InvalidParameterError, match="omega"):
+            TwoModeParams.at(-10.0, -150.0, -1.0)
+        with pytest.raises(InvalidParameterError, match="zeta = 0"):
+            TwoModeParams.at(0.0, -150.0, 6.2)
 
 
 class TestTwoModeTransmission:
@@ -119,7 +153,7 @@ class TestBranchFrequencies:
     @pytest.mark.parametrize("zeta_m", [-150.0, -170.0, -196.6])
     def test_centered_gap_matches_pulled_peak_formula(self, zeta_m):
         from coalesce import peak_positions
-        p = TwoModeParams.from_polarizabilities(-10.0, zeta_m)
+        p = TwoModeParams.at(-10.0, zeta_m, pair_center(-10.0, zeta_m))
         lo, hi = branch_frequencies(p, 0.0)
         assert hi - lo == pytest.approx(peak_positions(-10.0, zeta_m).gap,
                                         rel=0.01)
@@ -141,7 +175,7 @@ class TestTwoModeResonantTransmission:
     @pytest.mark.parametrize("zeta_m", [-10.0, -50.0])
     def test_quadratic_coefficient_matches_displacement_formula(self, zeta_m):
         # curvature ratio (g_m/delta)^2 / (2 omega zeta_m)^2 = 1/(|zm| delta)
-        p = TwoModeParams.from_polarizabilities(-10.0, zeta_m)
+        p = TwoModeParams.at(-10.0, zeta_m, pair_center(-10.0, zeta_m))
         h = 1e-6
         def curv(f):
             return (f(h) - 2.0 * f(0.0) + f(-h)) / h ** 2
