@@ -18,13 +18,12 @@ import numpy; nothing here imports dataclasses.  A peak is an immutable
 a pure function of its inputs: identical calls return identical
 results.  :func:`track` is the one loop that follows peaks across
 displacements of the middle element (a threshold sweep row is one step
-at x = 0).  It starts from one or two seeds at x = 0, or from a
-window, walks outward from x = 0 and refines each step's prediction by
-one bracketed solve of s' = 0 around it, without a grid.  One reach
-per step sizes that solve, its check and, when the check fails, the
-grid search over the previous peaks padded by it; a given window is
-searched only by each walk's first step.  :func:`find_merge_point`
-solves the merge as a fold of s, without a grid.
+at x = 0).  It has one start (seeds at x = 0, or the pair one search
+of a window finds there), one centre (the clamped closed-form pair
+center) and one rule: each member moves along the two-mode branch on
+its side of the centre, and one bracketed solve of s' = 0 around that
+prediction refines it, without a grid.  :func:`find_merge_point`
+solves the merge as a fold of s from the same centre, without a grid.
 """
 
 from __future__ import annotations
@@ -322,17 +321,16 @@ def _descend(system, seed, reach):
         return None
 
 
-def _seeded_step(system, seeds, previous, reach):
-    """The peaks :func:`_descend` finds from ``seeds``, or None on a failure.
+def _seeded_step(system, guesses, reach):
+    """The peaks :func:`_descend` finds from ``guesses``, or None on a failure.
 
-    Each refined peak must have s'' > 0, lie within ``reach`` of its
-    previous position, and stay above its lower neighbor by more than
-    2 :data:`_REFINE_TOL`.
+    Each refined peak must have s'' > 0 and stay above its lower neighbor
+    by more than 2 :data:`_REFINE_TOL`.
     """
     kept = []
-    for seed, before in zip(seeds, previous):
-        k = _descend(system, seed, reach)
-        if k is None or abs(k - before) > reach:
+    for guess in guesses:
+        k = _descend(system, guess, reach)
+        if k is None:
             return None
         s, _, curve = s_derivatives(system, k)
         if not curve > 0.0 or kept and k - kept[-1].k_peak <= 2 * _REFINE_TOL:
@@ -341,30 +339,40 @@ def _seeded_step(system, seeds, previous, reach):
     return kept
 
 
+def _search(system, x, members, k_min, k_max):
+    """The ``members`` peaks of :func:`find_peaks` over [k_min, k_max]
+    nearest its midpoint, sorted by k; raises if it finds none."""
+    peaks = find_peaks(system, k_min, k_max)
+    if not peaks:
+        raise PairIdentificationError(
+            f"tracking window lost the peak at x = {x}")
+    mid = 0.5 * (k_min + k_max)
+    kept = sorted(peaks, key=lambda p: abs(p.k_peak - mid))[:members]
+    return sorted(kept, key=lambda p: p.k_peak)
+
+
+def _pair_center(zeta, zeta_m, n):
+    """``closed_form.pair_center`` with |zeta_m| clamped at threshold."""
+    star = abs(closed_form.coalescence_threshold(zeta))
+    return closed_form.pair_center(
+        zeta, math.copysign(min(abs(zeta_m), star), zeta_m), n)
+
+
 def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
     """Follow one peak or a pair across the displacements ``x_values``.
 
-    Takes exactly one of ``seeds``, the one or two peaks at x = 0 (their
-    count is the member count), or ``window``, a ``(k_min, k_max)`` that
-    holds the pair at x = 0 (two members, unseeded).  The displacements
-    are checked first.  Two walks go outward from x = 0, each starting
-    from the seeds or the window: up through x >= 0, then down through
-    x < 0.  Each step predicts its peaks from the previous ones: a lone
-    peak stays put, a pair moves along the branches of the model
-    ``two_mode.TwoModeParams.at(zeta, zeta_m, center)``, center the
-    seeds' or the window's midpoint.  Each step has one reach,
-    min(0.35, 8 kappa + 2 g_m |dx|), with the model's kappa and g_m and
-    dx the step from the previous x.  :func:`_descend`
-    refines each prediction by one :func:`closed_form.newton` on s' over
-    the prediction +- reach, and :func:`_seeded_step` checks that each
-    result lies within reach of its previous peak.  A step whose check
-    fails, or without as many previous peaks as members (a step after a
-    merge), calls :func:`find_peaks` over the previous peaks' span plus
-    the reach on each side, keeping the members nearest the previous
-    peaks' midpoint.  A window sizes only the search of a step without
-    previous peaks, each walk's first: :func:`find_peaks` over the
-    window as given.  These are the tracker's only calls to
-    :func:`find_peaks`, so counting those counts the fallbacks.
+    Takes exactly one start: ``seeds``, the one or two peaks at x = 0
+    (their count is the member count), or ``window``, a ``(k_min,
+    k_max)`` holding the pair at x = 0, which one :func:`_search` there
+    turns into two peaks.  The displacements are checked first.  Two
+    walks go outward from the start: up through x >= 0, then down
+    through x < 0.  Each step moves every member along the branch on its
+    side of omega of ``two_mode.TwoModeParams.at(zeta, zeta_m, omega)``,
+    omega the :func:`_pair_center` nearest the start; where the model
+    has no branches (merged) a member stays put.  One reach per step,
+    min(0.35, 8 kappa + 2 g_m |dx|), sizes the :func:`_seeded_step`
+    solves around these predictions and, when one fails or the step
+    follows a merge, the :func:`_search` over their span +- reach.
 
     Returns one tuple of :class:`ResonancePeak`, sorted by k, per x in
     input order; it holds a single peak where a pair has merged.  Raises
@@ -378,55 +386,45 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
         raise InvalidParameterError(
             "track takes seeds or a window: exactly one of the two")
     if seeds is None:
-        window = _window(*window)
-        start, members = [], 2
-        center = 0.5 * (window[0] + window[1])
+        members = 2
+        system = CavitySystem.with_middle(zeta, zeta_m, 0.0)
+        start = [p.k_peak for p in _search(system, 0.0, members, *window)]
     else:
         start = sorted(map(float, seeds))
         if len(start) not in (1, 2) or not all(map(math.isfinite, start)):
             raise InvalidParameterError(
                 f"seeds must be one or two finite peaks, got {seeds!r}")
         members = len(start)
-        center = 0.5 * (start[0] + start[-1])
-    model = two_mode.TwoModeParams.at(zeta, zeta_m, center)
-    previous, before, mid = start, 0.0, center
+    n = max(1, round(0.5 * (start[0] + start[-1]) / (2.0 * math.pi)))
+    model = two_mode.TwoModeParams.at(zeta, zeta_m,
+                                      _pair_center(zeta, zeta_m, n))
+    previous, before = start, 0.0
     out = [None] * len(xs)
     # x >= 0 ascending, then x < 0 descending
     for i in sorted(range(len(xs)), key=lambda i: (xs[i] < 0.0, abs(xs[i]))):
         x = xs[i]
         if x < 0.0 <= before:   # the second walk starts from x = 0 again
-            previous, before, mid = start, 0.0, center
+            previous, before = start, 0.0
         system = CavitySystem.with_middle(zeta, zeta_m, x)
         reach = min(0.35, 8.0 * model.kappa
                     + 2.0 * model.g_m * abs(x - before))
+        old, new = (two_mode.branch_frequencies(model, y) for y in (before, x))
+        # the (lower, upper) branch moves, none where the model is merged;
+        # a member at or above omega is on the upper branch
+        moves = [b - a for a, b in zip(old, new)] if old and new else (0, 0)
+        guesses = [k + moves[k >= model.omega] for k in previous]
         kept = None
         if len(previous) == members:
-            guesses = previous
-            if members == 2:
-                branches = (two_mode.branch_frequencies(model, before),
-                            two_mode.branch_frequencies(model, x))
-                if None not in branches:
-                    guesses = [k + new - old for k, old, new
-                               in zip(previous, *branches)]
-            kept = _seeded_step(system, guesses, previous, reach)
+            kept = _seeded_step(system, guesses, reach)
         if kept is None:
-            if previous:
-                peaks = find_peaks(system, previous[0] - reach,
-                                   previous[-1] + reach)
-            else:
-                peaks = find_peaks(system, *window)
-            if not peaks:
-                raise PairIdentificationError(
-                    f"tracking window lost the peak at x = {x}")
-            kept = sorted(peaks, key=lambda p: abs(p.k_peak - mid))[:members]
-            kept.sort(key=lambda p: p.k_peak)
+            kept = _search(system, x, members, guesses[0] - reach,
+                           guesses[-1] + reach)
         gap = kept[-1].k_peak - kept[0].k_peak
         if gap > math.pi * (1.0 + 1e-9):
             raise PairIdentificationError(
                 f"peaks at x = {x} are {gap:.6g} apart, more than one "
                 "free spectral range; window captured the wrong pair")
         out[i] = tuple(kept)
-        mid = 0.5 * (kept[0].k_peak + kept[-1].k_peak)
         previous, before = [p.k_peak for p in kept], x
     return out
 
@@ -449,7 +447,6 @@ def find_merge_point(zeta, zeta_m_range: Tuple, pair_index=1):
     if not (math.isfinite(a) and math.isfinite(b)) or a * b <= 0.0:
         raise InvalidParameterError(
             f"zeta_m_range must be two same-sign values, got {zeta_m_range!r}")
-    star = abs(closed_form.coalescence_threshold(zeta))
     kappa = closed_form.bare_linewidth(zeta)
 
     def curvature(zm):
@@ -457,8 +454,7 @@ def find_merge_point(zeta, zeta_m_range: Tuple, pair_index=1):
         system = CavitySystem.with_middle(zeta, zm)
         # the closed-form pair ends at the threshold; above it the one
         # minimum stays within kappa of the pair center there
-        seed = closed_form.pair_center(
-            zeta, math.copysign(min(abs(zm), star), zm), pair_index)
+        seed = _pair_center(zeta, zm, pair_index)
         # a maximum of s (s'' < 0) needs -s' to rise through it
         sign = 1.0 if s_derivatives(system, seed)[2] > 0.0 else -1.0
 

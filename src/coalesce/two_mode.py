@@ -257,18 +257,21 @@ def physical_enhancement(membrane: MembranePhysical):
     and the enhancement ceiling is 2/(eta |zeta_m|).  The conservatively
     quoted attainable enhancement is one tenth of that ceiling.
     """
-    x_zpf = math.sqrt(HBAR / (2.0 * membrane.mass * membrane.mech_freq))
-    if membrane.temperature == 0.0:
-        nbar = 0.0
-    else:
-        ratio = (HBAR * membrane.mech_freq
-                 / (BOLTZMANN * membrane.temperature))
-        # exp overflows past ~709; the occupation is already 0 there
-        nbar = 1.0 / math.expm1(ratio) if ratio < 700.0 else 0.0
+    spring = 2.0 * membrane.mass * membrane.mech_freq
+    thermal = BOLTZMANN * membrane.temperature
+    # T -> 0, kB T underflowing included, is the ground state
+    ratio = HBAR * membrane.mech_freq / thermal if thermal else math.inf
+    if not (spring and ratio):
+        raise InvalidParameterError(
+            "2 m mech_freq or hbar mech_freq / kB T underflows to 0")
+    x_zpf = math.sqrt(HBAR / spring)
+    # exp overflows past ~709; the occupation is already 0 there
+    nbar = 1.0 / math.expm1(ratio) if ratio < 700.0 else 0.0
     x_rms = x_zpf * math.sqrt(2.0 * nbar + 1.0)
-    eta = 2.0 * math.pi * x_rms / membrane.wavelength
-    cap = 2.0 / (eta * abs(membrane.zeta_m)) if membrane.zeta_m != 0 \
-        else math.inf
+    eta = _finite("eta", 2.0 * math.pi * x_rms / membrane.wavelength)
+    # eta |zeta_m| = 0 (zeta_m = 0, or an underflow) has no ceiling
+    scale = eta * abs(membrane.zeta_m)
+    cap = 2.0 / scale if scale else math.inf
     return PhysicalEnhancement(x_zpf=x_zpf, x_rms=x_rms, nbar=nbar, eta=eta,
                                lamb_dicke_cap=cap,
                                attainable_enhancement=cap / 10.0)

@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/snapshot_outputs.py write DIR
     python tests/snapshot_outputs.py compare A B
+    PYTHONPATH=src python tests/snapshot_outputs.py counts
 
 ``write`` runs each command of :data:`COMMANDS` as ``python -m
 coalesce.cli ...`` under the caller's PYTHONPATH, so pointing PYTHONPATH
@@ -10,9 +11,15 @@ in an empty working directory and leaves ``<name>.out``, ``<name>.err``
 and ``<name>.code`` (stdout, stderr, exit code) in DIR.  ``compare``
 counts the files of A and B that are identical and, for each CSV output
 that differs, prints the largest |difference| of each numeric column; it
-exits 0 when every file is identical, else 1.
+exits 0 when every file is identical, else 1.  ``counts`` runs each
+tracker command of :data:`COMMANDS` in-process through ``cli.main``,
+with ``spectrum.s_derivatives`` and ``spectrum.find_peaks`` wrapped to
+count their calls, and prints the counts as two Markdown tables: fig2,
+fig3 and the threshold sweep per zeta, then the other commands.
 """
 
+import contextlib
+import io
 import math
 import os
 import re
@@ -40,6 +47,11 @@ COMMANDS = (
         ("sweep-x",),
         ("sweep-x", "--zeta=-100", "--zeta-m=-5000", "--xmin=-0.01",
          "--xmax=0.01", "--xpoints=41"),
+        # a lone peak that moves many linewidths per step, and a sweep
+        # whose first step away from x = 0 is far from it
+        ("sweep-x", "--zeta=-1000", "--zeta-m=-5000"),
+        ("sweep-x", "--zeta=-1e4", "--zeta-m=-5000"),
+        ("sweep-x", "--xpoints=3"),
     ]
     # the short commands at their defaults
     + [("splitting",), ("report",), ("threshold",),
@@ -56,6 +68,12 @@ COMMANDS = (
         "--mech-freq=6e5", "--temperature=4", *fmt)
        for fmt in ((), ("--format=json",))]
     + [("report", "--zeta=-10", "--zeta-m=-250")]
+    # membrane arithmetic that under- or overflows on the way
+    + [("sensitivity", *flags) for flags in (
+        ("--mass=1e-10", "--mech-freq=6e5", "--temperature=1e-320"),
+        ("--mass=1e300", "--mech-freq=1e300"),
+        ("--mass=1e-200", "--mech-freq=1e-200"),
+        ("--zeta-m=-1e-320", "--mass=1e-10", "--mech-freq=6e5"))]
     # one command per error token the CLI can reach, and a usage error
     + [
         ("threshold", "--config", "missing.cfg"),
@@ -71,6 +89,8 @@ COMMANDS = (
 )
 
 _SUFFIXES = (".out", ".err", ".code")
+# the pipelines and commands that call spectrum.track
+_TRACKERS = {"fig2", "fig3", "threshold-sweep", "branches", "sweep-x"}
 
 
 def _name(argv):
@@ -164,9 +184,61 @@ def compare(a, b, stream=sys.stdout):
     return same == len(names)
 
 
+def counts(commands=COMMANDS, stream=sys.stdout):
+    """Print the s_derivatives and find_peaks calls of each tracker command.
+
+    Each cell reads ``s_derivatives / find_peaks``, followed by the exit
+    code in brackets when it is not 0.
+    """
+    from coalesce import cli, spectrum
+
+    tally = {}
+
+    def counted(name):
+        inner = getattr(spectrum, name)
+
+        def wrapper(*args, **kwargs):
+            tally[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    figures, others = {}, []
+    with contextlib.ExitStack() as stack:
+        for name in ("s_derivatives", "find_peaks"):
+            stack.callback(setattr, spectrum, name, getattr(spectrum, name))
+            setattr(spectrum, name, counted(name))
+        for argv in commands:
+            if not _TRACKERS.intersection(argv[:2]):
+                continue
+            tally.update(s_derivatives=0, find_peaks=0)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(list(argv))
+            cell = f"{tally['s_derivatives']} / {tally['find_peaks']}"
+            cell += f" [{code}]" if code else ""
+            if argv[0] == "figures" and len(argv) == 3:
+                figures.setdefault(argv[2].removeprefix("--zeta="),
+                                   {})[argv[1]] = cell
+            else:
+                others.append((" ".join(argv), cell))
+    figs = ("fig2", "fig3", "threshold-sweep")
+    print(f"| zeta | {' | '.join(figs)} |", file=stream)
+    print("| --- " * (len(figs) + 1) + "|", file=stream)
+    for zeta, row in figures.items():
+        print(f"| {zeta} | " + " | ".join(row.get(f, "") for f in figs)
+              + " |", file=stream)
+    print("\n| command | s_derivatives / find_peaks |\n| --- | --- |",
+          file=stream)
+    for command, cell in others:
+        print(f"| `{command}` | {cell} |", file=stream)
+
+
 def main(argv):
     if len(argv) == 2 and argv[0] == "write":
         write(argv[1])
+        return 0
+    if argv == ["counts"]:
+        counts()
         return 0
     if len(argv) == 3 and argv[0] == "compare":
         return 0 if compare(argv[1], argv[2]) else 1

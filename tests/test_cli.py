@@ -243,6 +243,21 @@ class TestDisplacementGrid:
         assert err.startswith("error[invalid-parameter]:")
         assert err.strip().endswith("got 0.3")
 
+    @pytest.mark.parametrize("points", [1, 3, 11])
+    def test_short_grid_rows_are_the_default_grids(self, capsys, points):
+        # each walk starts from x = 0 however far its first x lies, so a
+        # row depends on the x alone, not on the grid around it
+        def rows(*argv):
+            code, out, err = run_cli(capsys, "sweep-x", *argv)
+            assert code == 0 and err == ""
+            return [ln for ln in out.splitlines()
+                    if not ln.startswith("#")][1:]
+
+        default = {row.split(",")[0]: row for row in rows()}
+        short = rows(f"--xpoints={points}")
+        assert len(short) == points
+        assert all(default[row.split(",")[0]] == row for row in short)
+
 
 class TestPositiveEndMirrors:
     @pytest.mark.parametrize("argv", [
@@ -463,6 +478,18 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "_cmd_splitting", fail)
         _, _, err = run_cli(capsys, "splitting")
         assert err == f"error[{token}]: planted failure\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--mass=1e-10", "--mech-freq=6e5", "--temperature=1e-320"),
+        ("--mass=1e300", "--mech-freq=1e300"),
+        ("--mass=1e-200", "--mech-freq=1e-200"),
+        ("--zeta-m=-1e-320", "--mass=1e-10", "--mech-freq=6e5"),
+    ], ids=" ".join)
+    def test_membrane_out_of_float_range(self, capsys, argv):
+        # each ended in a ZeroDivisionError traceback
+        code, _, err = run_cli(capsys, "sensitivity", *argv)
+        assert (code, err) == (0, "") or (
+            code == 3 and err.startswith("error[invalid-parameter]:"))
 
     def test_lost_peak_is_pair_identification(self, capsys):
         # weak mirrors near the threshold: the broad pair leaves the

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 
 import coalesce
 import snapshot_outputs
@@ -35,3 +36,17 @@ def test_snapshots_compare_and_report_a_planted_drift(tmp_path,
     assert report.getvalue() == ("splitting.out: differs\n"
                                  "  delta: max |diff| = 1e-06\n"
                                  "5 of 6 files identical\n")
+
+
+def test_counts_tabulate_the_tracker_commands():
+    # splitting runs no tracker and gets no row; the figures row is keyed
+    # by zeta, the other commands by their arguments
+    report = io.StringIO()
+    snapshot_outputs.counts([("splitting",), ("sweep-x", "--xpoints=3"),
+                             ("figures", "threshold-sweep", "--zeta=-10")],
+                            report)
+    lines = report.getvalue().splitlines()
+    assert lines[0] == "| zeta | fig2 | fig3 | threshold-sweep |"
+    assert re.fullmatch(r"\| -10 \|  \|  \| \d+ / 1 \|", lines[2])
+    assert re.fullmatch(r"\| `sweep-x --xpoints=3` \| \d+ / 0 \|", lines[-1])
+    assert not any("splitting" in line for line in lines)

@@ -537,8 +537,8 @@ class TestSeededTrack:
         seeds = self.pair_seeds(-10.0, zeta_m)
         seeded = track(-10.0, zeta_m, self.XS, seeds=seeds)
         monkeypatch.setattr(spectrum, "_seeded_step", lambda *a: None)
-        # every step searches: at x = 0 the window, the pair and 10 kappa
-        # either side; after it the previous pair padded by the reach
+        # every step searches: the window finds the start at x = 0, and
+        # each step searches its predictions padded by the reach
         searched = track(-10.0, zeta_m, self.XS,
                          window=(min(seeds) - 0.05, max(seeds) + 0.05))
         for x, got, want in zip(self.XS, seeded, searched):
@@ -549,7 +549,11 @@ class TestSeededTrack:
                 system = CavitySystem.with_middle(-10.0, zeta_m, x)
                 assert a.T_peak == transmission(system, a.k_peak)
 
-    def test_model_is_reduced_at_the_starts_midpoint(self, monkeypatch):
+    @pytest.mark.parametrize("zeta_m", [-196.6, -202.0])
+    def test_model_is_reduced_at_the_clamped_pair_center(self, zeta_m,
+                                                         monkeypatch):
+        # two seeds, one seed and a window reduce the model at one omega:
+        # the closed-form pair center, at the threshold above it (-202)
         calls = []
         reduce = two_mode.TwoModeParams.at
 
@@ -560,12 +564,31 @@ class TestSeededTrack:
         monkeypatch.setattr(two_mode.TwoModeParams, "at",
                             classmethod(recorded))
         lower, upper = sorted(self.pair_seeds(-10.0, -196.6))
-        track(-10.0, -196.6, self.XS, seeds=(upper, lower))
-        track(-10.0, -196.6, self.XS, seeds=(upper,))
-        track(-10.0, -196.6, [0.0], window=(6.13, 6.23))
-        assert calls == [(-10.0, -196.6, 0.5 * (lower + upper)),
-                         (-10.0, -196.6, upper),
-                         (-10.0, -196.6, 0.5 * (6.13 + 6.23))]
+        track(-10.0, zeta_m, [0.0], seeds=(upper, lower))
+        track(-10.0, zeta_m, [0.0], seeds=(upper,))
+        track(-10.0, zeta_m, [0.0], window=(6.13, 6.23))
+        track(-10.0, zeta_m, [0.0], seeds=(lower + TWO_PI,))
+        star = coalescence_threshold(-10.0)
+        omega = pair_center(-10.0, max(zeta_m, star))
+        second = pair_center(-10.0, max(zeta_m, star), 2)
+        assert calls == [(-10.0, zeta_m, omega)] * 3 + [
+            (-10.0, zeta_m, second)]
+
+    def test_lone_member_follows_its_branch(self, monkeypatch):
+        # zeta = -1000: a member moves about 25 000 kappa across sweep-x's
+        # grid; predicted along its branch, no step falls back to a search
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return find_peaks(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "find_peaks", counted)
+        xs = spectrum.linspace(-0.1, 0.1, 201)
+        for seed in self.pair_seeds(-1000.0, -5000.0):
+            tracked = track(-1000.0, -5000.0, xs, seeds=(seed,))
+            assert [len(p) for p in tracked] == [1] * len(xs)
+        assert searches == []
 
     def test_failed_seed_falls_back_to_a_window_search(self, monkeypatch):
         searches = []
@@ -610,36 +633,29 @@ class TestSeededTrack:
         assert (a.k_peak, b.k_peak) == pytest.approx((lower, upper),
                                                      abs=1e-9)
 
-    def test_window_sizes_only_each_walks_first_search(self, monkeypatch):
-        # a window walk's first step searches the window as given; with
-        # the seeded steps refused, each later step searches the previous
-        # pair padded by the step's reach
+    def test_window_is_searched_once_at_x_0(self, monkeypatch):
+        # the window finds the start, and the walks go on from its peaks;
+        # with the seeded steps refused, every step searches around its
+        # predictions instead
         searches = []
 
         def counted(system, lo, hi):
-            searches.append((lo, hi))
+            searches.append((system, lo, hi))
             return find_peaks(system, lo, hi)
 
         monkeypatch.setattr(spectrum, "find_peaks", counted)
         window, zm = (6.13, 6.23), -196.6
         xs = [-0.002, -0.001, 0.0, 0.001, 0.002]
+        at_zero = (CavitySystem.with_middle(-10.0, zm, 0.0), *window)
         track(-10.0, zm, xs, window=window)
-        assert searches == [window, window]
+        assert searches == [at_zero]
 
         searches.clear()
         monkeypatch.setattr(spectrum, "_seeded_step", lambda *a: None)
-        tracked = dict(zip(xs, track(-10.0, zm, xs, window=window)))
-        kappa = bare_linewidth(-10.0)
-        g = tunneling_rate(zm, 0.5 * (window[0] + window[1]))
-
-        def padded(before, x):
-            reach = min(0.35, 8.0 * kappa + 2.0 * g * abs(x - before))
-            pair = tracked[before]
-            return (pair[0].k_peak - reach, pair[-1].k_peak + reach)
-
-        assert searches == [window, padded(0.0, 0.001),
-                            padded(0.001, 0.002), window,
-                            padded(-0.001, -0.002)]
+        track(-10.0, zm, xs, window=window)
+        assert searches[0] == at_zero
+        assert len(searches) == 1 + len(xs)
+        assert window not in [(lo, hi) for _, lo, hi in searches[1:]]
 
     @pytest.mark.parametrize("zeta_m", [-150.0, coalescence_threshold(-10.0)])
     def test_descent_refuses_a_seed_where_s_is_not_convex(self, zeta_m):

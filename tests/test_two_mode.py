@@ -275,6 +275,37 @@ class TestPhysicalEnhancement:
         rec = physical_enhancement(self.membrane(0.0))
         assert rec.attainable_enhancement == rec.lamb_dicke_cap / 10.0
 
+    @staticmethod
+    def cli_membrane(mass=1e-10, mech_freq=6e5, temperature=0.0,
+                     zeta_m=-196.6):
+        # the sensitivity command's defaults
+        return MembranePhysical(mass=mass, mech_freq=mech_freq,
+                                temperature=temperature, wavelength=1e-6,
+                                zeta_m=zeta_m)
+
+    def test_underflowing_temperature_is_the_ground_state(self):
+        # kB T underflows to 0 for T = 1e-320 K
+        rec = physical_enhancement(self.cli_membrane(temperature=1e-320))
+        assert rec == physical_enhancement(self.cli_membrane())
+        assert rec.nbar == 0.0
+
+    def test_overflowing_spring_has_no_ceiling(self):
+        # 2 m omega overflows, so x_zpf and eta are 0
+        rec = physical_enhancement(self.cli_membrane(1e300, 1e300))
+        assert rec.eta == 0.0
+        assert rec.lamb_dicke_cap == rec.attainable_enhancement == math.inf
+
+    def test_underflowing_spring_refused(self):
+        # 2 m omega underflows: x_zpf is past the largest float
+        with pytest.raises(InvalidParameterError, match="underflows"):
+            physical_enhancement(self.cli_membrane(1e-200, 1e-200))
+
+    def test_underflowing_coupling_has_no_ceiling(self):
+        # eta |zeta_m| underflows, as if zeta_m were 0
+        rec = physical_enhancement(self.cli_membrane(zeta_m=-1e-320))
+        assert rec.lamb_dicke_cap == math.inf
+        assert rec == physical_enhancement(self.cli_membrane(zeta_m=0.0))
+
     def test_invalid_membranes_rejected(self):
         with pytest.raises(InvalidParameterError):
             MembranePhysical(mass=0.0, mech_freq=1.0, temperature=0.0,
