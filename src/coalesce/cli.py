@@ -16,21 +16,16 @@ on stderr as one line 'error[<token>]: <message>'; the error's class
 names the token.
 
 Importing this module loads neither numpy nor dataclasses: the
-package's records are NamedTuples, and `report` and `sensitivity` print
-theirs field by field in order (._asdict()).  `splitting`, `report`,
-`threshold` (without --numeric) and `sensitivity` and --version run on
-the closed forms and the standard library alone.  The trackers (`figures
-fig2`, `figures fig3`, `figures threshold-sweep`, and `sweep-x` and
-`branches` without --kmin/--kmax) and the short array commands
-(`peaks`, `threshold --numeric`, `stack` and `figures fig1`) load the
-numeric modules but no numpy: the trackers are seeded from the closed
-forms, a grid within core_scatter.SCALAR_GRID_WORK runs on the scalar
-kernel, and CSV documents of at most _FMT_ROWS rows are formatted cell
-by cell.  `spectrum`, a larger grid (a tracker's fallback window may be
-one) and a longer CSV document, which csv_rows writes from numpy blocks,
-load numpy.  Only `figures` and `sweep-x` load experiments.  A CLI
-process (run()) starts numpy with one OpenBLAS thread, since no module
-calls BLAS; an OPENBLAS_NUM_THREADS the user has set is kept.
+package's records are NamedTuples, printed field by field (._asdict()).
+`splitting`, `report`, `threshold` (without --numeric), `sensitivity`
+and --version run on the standard library alone.  The other commands
+load numpy only where core_scatter.grid() builds an array, past
+core_scatter.SCALAR_GRID_WORK (a long `spectrum`, a wide `peaks` or
+tracker window); a CSV document with an array column goes to csv_rows,
+and lists and tuples are formatted cell by cell.  Only `figures` and
+`sweep-x` load experiments.  A CLI process (run()) starts numpy with
+one OpenBLAS thread, since no module calls BLAS; an OPENBLAS_NUM_THREADS
+the user has set is kept.
 """
 
 from __future__ import annotations
@@ -280,13 +275,6 @@ def _fmt(value):
 
 # rows a block: csv_rows writes 1e6 x 2 floats in 75 ms, in 94 ms at 1 << 16
 _CSV_BLOCK = 1 << 14
-# the longest document _render_csv formats with _fmt.  On six float
-# columns (2-core Xeon, numpy 2.4) _fmt takes 6-7 us a row, and csv_rows
-# 3 ms plus 1.5 us a row once numpy is loaded (0.08-0.10 s with the one
-# BLAS thread run() asks for): at 4096 rows _fmt costs ~16 ms more,
-# against the 0.08 s that a process without numpy saves.  fig1's 2001
-# rows lie below.
-_FMT_ROWS = 4096
 
 
 def _jsonable(value):
@@ -315,19 +303,20 @@ def _csv_head(params, names, annotations):
 def _render_csv(params, columns, annotations):
     """Yield the CSV document as bytes: metadata and header, then rows.
 
-    A document of at most _FMT_ROWS rows is formatted cell by cell with
-    _fmt and takes no numpy.  csv_rows writes longer ones, byte for byte
-    the same, in blocks of _CSV_BLOCK rows, so one block is alive.
+    Lists and tuples of any length are formatted cell by cell with _fmt
+    and take no numpy.  A document with a numpy column (it has a dtype)
+    goes to csv_rows, which writes the same bytes in blocks of
+    _CSV_BLOCK rows, so one block is alive.
     """
     yield _csv_head(params, columns, annotations).encode()
-    length = max(map(len, columns.values()), default=0)
-    if length <= _FMT_ROWS:
-        cells = [list(map(_fmt, values)) + [""] * (length - len(values))
-                 for values in columns.values()]
-        yield "".join(",".join(row) + "\n" for row in zip(*cells)).encode()
+    if any(hasattr(values, "dtype") for values in columns.values()):
+        from . import csv_rows
+        yield from csv_rows.render(list(columns.values()), _fmt, _CSV_BLOCK)
         return
-    from . import csv_rows
-    yield from csv_rows.render(list(columns.values()), _fmt, _CSV_BLOCK)
+    length = max(map(len, columns.values()), default=0)
+    cells = [list(map(_fmt, values)) + [""] * (length - len(values))
+             for values in columns.values()]
+    yield "".join(",".join(row) + "\n" for row in zip(*cells)).encode()
 
 
 def _render_json(params, data):
@@ -387,9 +376,9 @@ def _system_from(values):
 
 def _cmd_spectrum(values):
     _load_numerics()
-    ks, ts = spectrum.scan_transmission(_system_from(values),
-                                        values["kmin"], values["kmax"],
-                                        values["points"])
+    ks, ts = spectrum.sample_transmission(_system_from(values),
+                                          values["kmin"], values["kmax"],
+                                          values["points"])
     return {"k": ks, "T": ts}, None
 
 

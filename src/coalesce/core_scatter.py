@@ -46,16 +46,16 @@ from typing import NamedTuple, Sequence
 from .errors import InvalidParameterError, finite as _finite
 
 _BLOCK = 16384   # array wavenumbers per block of the bulk kernel
-# The largest grid, in kernel work (points x hops per point), that
-# :func:`grid` leaves to the scalar kernel.  Measured on a 2-core Xeon
-# (Python 3.11, numpy 2.4): the scalar kernel takes about 0.5 us a point
-# plus 0.75 us a hop, numpy's 0.05 us a point once loaded, and loading
-# numpy 0.08 s with the one OpenBLAS thread a CLI process asks for
-# (0.15 s with the default pool).  The costliest grid at the bound,
-# 65536 points of one hop, takes 0.08-0.10 s on the scalar kernel: about
-# the import it saves a fresh process, and 0.08 s more than numpy in a
-# process that has loaded it.  The search windows (a few hundred points)
-# and fig1 (2001 points x 2 hops) lie far below it.
+# The largest grid, in kernel work (points x hops), that :func:`grid`
+# leaves to the scalar kernel.  Fresh CLI processes, list / array path
+# in ms (medians of 11 interleaved pairs; 2-core Xeon, numpy 2.4):
+# `spectrum` at 1 hop, 30000 points 142 / 150, 60000 235 / 156; at 2
+# hops, 20000 136 / 151, 30000 164 / 152; a 2-hop `peaks` window, 40040
+# 139 / 147, 60060 188 / 159.  Break-even is near 30000, 50000 and 88000
+# work for the three (_fmt prints a point in ~1.9 us), so no one bound
+# suits them all.  At 65536, the bound the searches were set by, a
+# one-hop `spectrum` of 30000 to 65536 points pays up to ~80 ms.  fig1
+# (2001 x 2 hops) and the tracker's windows lie far below it.
 SCALAR_GRID_WORK = 65536
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""The data rows of a long CSV document, formatted a block at a time.
+"""The data rows of a CSV document with array columns, a block at a time.
 
 :func:`render` writes each positive float cell, the bytes of "%.11e",
 straight into its block's row buffer.  With e = floor(log10 v), y = v *

@@ -9,20 +9,18 @@ its bracketing grid cell, with the analytic derivatives of
 :func:`core_scatter.s_derivatives`.  Half-widths solve T = T_peak/2 the
 same way.  The grid maxima and their prominences are computed in-house,
 with the rules of SciPy's ``signal.find_peaks``, so numpy is the only
-runtime dependency.  A search grid is a list of floats, evaluated on the
-scalar kernel and searched in Python, when its work (points x hops) is
-at most :data:`core_scatter.SCALAR_GRID_WORK`, as every window of a few
-linewidths is; only a larger grid, and :func:`scan_transmission`,
-import numpy; nothing here imports dataclasses.  A peak is an immutable
-:class:`ResonancePeak` NamedTuple ``(k_peak, T_peak)``.  Everything is
-a pure function of its inputs: identical calls return identical
-results.  :func:`track` is the one loop that follows peaks across
-displacements of the middle element (a threshold sweep row is one step
-at x = 0).  It has one start (seeds at x = 0, or the pair one search
-of a window finds there), one centre (the clamped closed-form pair
-center) and one rule: each member moves along the two-mode branch on
-its side of the centre, and one bracketed solve of s' = 0 around that
-prediction refines it, without a grid.  :func:`find_merge_point`
+runtime dependency.  :func:`core_scatter.grid` makes a search grid a
+list, searched in Python, or past its size an array; only that, and
+:func:`scan_transmission` (the numpy API), import numpy.  A peak is an
+immutable :class:`ResonancePeak` NamedTuple ``(k_peak, T_peak)``.
+Everything is a pure function of its inputs: identical calls return
+identical results.  :func:`track` is the one loop that follows peaks
+across displacements of the middle element (a threshold sweep row is
+one step at x = 0).  It has one start (seeds at x = 0, or the pair one
+search of a window finds there), one centre (the clamped closed-form
+pair center) and one rule: each member moves along the two-mode branch
+on its side of the centre, and one bracketed solve of s' = 0 around
+that prediction refines it, without a grid.  :func:`find_merge_point`
 solves the merge as a fold of s from the same centre, without a grid.
 """
 
@@ -106,10 +104,8 @@ def sample_transmission(system: CavitySystem, k_min, k_max, n_points):
 
     ``(ks, ts)`` are lists of floats for a grid within
     :data:`core_scatter.SCALAR_GRID_WORK`, else numpy arrays; the
-    wavenumbers are those of :func:`scan_transmission` either way.  The
-    CLI's ``spectrum`` keeps :func:`scan_transmission`: past _FMT_ROWS rows
-    its document loads numpy anyway, and there the scalar kernel is slower
-    (30000 points: 280 against 238 ms a process on 2 cores).
+    wavenumbers are those of :func:`scan_transmission` either way, and
+    the CLI's ``spectrum`` prints them.
     """
     k_min, k_max, n = _samples(k_min, k_max, n_points)
     ks = grid(k_min, k_max, n, len(system.elements) + 1)
@@ -307,12 +303,14 @@ def _descend(system, seed, reach):
     Returns None when s'' <= 0 at the seed, or when the solve raises
     :class:`NotBracketedError` (no minimum found within reach).
     """
+    at_seed = s_derivatives(system, seed)[1:]
+
     def f(k):
-        return s_derivatives(system, k)[1:]
+        return at_seed if k == seed else s_derivatives(system, k)[1:]
 
     # a quartic top has round-off s'': solved from there, the merged
     # sweep row at zeta = -10 moved 9e-10, nine times _REFINE_TOL
-    if not f(seed)[1] > 0.0:
+    if not at_seed[1] > 0.0:
         return None
     try:
         return closed_form.newton(f, seed - reach, seed, seed + reach,
@@ -364,7 +362,8 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
     Takes exactly one start: ``seeds``, the one or two peaks at x = 0
     (their count is the member count), or ``window``, a ``(k_min,
     k_max)`` holding the pair at x = 0, which one :func:`_search` there
-    turns into two peaks.  The displacements are checked first.  Two
+    turns into two peaks (one where the pair has merged, which is then
+    the result at x = 0).  The displacements are checked first.  Two
     walks go outward from the start: up through x >= 0, then down
     through x < 0.  Each step moves every member along the branch on its
     side of omega of ``two_mode.TwoModeParams.at(zeta, zeta_m, omega)``,
@@ -377,18 +376,25 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
     Returns one tuple of :class:`ResonancePeak`, sorted by k, per x in
     input order; it holds a single peak where a pair has merged.  Raises
     :class:`InvalidParameterError` unless exactly one of ``seeds`` and
-    ``window`` is given, and :class:`PairIdentificationError` if a
-    search loses the peaks, or if two kept peaks are more than one free
-    spectral range apart (the search captured the wrong pair).
+    ``window`` is given, or for a window that is not two numbers, and
+    :class:`PairIdentificationError` if a search loses the peaks, or if
+    two kept peaks are more than one free spectral range apart (the
+    search captured the wrong pair).
     """
     xs = displacements(x_values)
     if (seeds is None) == (window is None):
         raise InvalidParameterError(
             "track takes seeds or a window: exactly one of the two")
     if seeds is None:
+        try:
+            k_min, k_max = map(float, window)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"window must be two numbers, got {window!r}") from None
         members = 2
         system = CavitySystem.with_middle(zeta, zeta_m, 0.0)
-        start = [p.k_peak for p in _search(system, 0.0, members, *window)]
+        found = tuple(_search(system, 0.0, members, k_min, k_max))
+        start = [p.k_peak for p in found]
     else:
         start = sorted(map(float, seeds))
         if len(start) not in (1, 2) or not all(map(math.isfinite, start)):
@@ -400,8 +406,11 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
                                       _pair_center(zeta, zeta_m, n))
     previous, before = start, 0.0
     out = [None] * len(xs)
+    if len(start) < members:   # the window's pair has merged at x = 0
+        out = [found if x == 0.0 else None for x in xs]
     # x >= 0 ascending, then x < 0 descending
-    for i in sorted(range(len(xs)), key=lambda i: (xs[i] < 0.0, abs(xs[i]))):
+    for i in sorted((i for i in range(len(xs)) if out[i] is None),
+                    key=lambda i: (xs[i] < 0.0, abs(xs[i]))):
         x = xs[i]
         if x < 0.0 <= before:   # the second walk starts from x = 0 again
             previous, before = start, 0.0

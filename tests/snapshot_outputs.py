@@ -9,17 +9,19 @@ coalesce.cli ...`` under the caller's PYTHONPATH, so pointing PYTHONPATH
 at another checkout's ``src`` snapshots that tree.  Each command runs
 in an empty working directory and leaves ``<name>.out``, ``<name>.err``
 and ``<name>.code`` (stdout, stderr, exit code) in DIR.  ``compare``
-counts the files of A and B that are identical and, for each CSV output
-that differs, prints the largest |difference| of each numeric column; it
-exits 0 when every file is identical, else 1.  ``counts`` runs each
-tracker command of :data:`COMMANDS` in-process through ``cli.main``,
-with ``spectrum.s_derivatives`` and ``spectrum.find_peaks`` wrapped to
-count their calls, and prints the counts as two Markdown tables: fig2,
-fig3 and the threshold sweep per zeta, then the other commands.
+counts the files of A and B that are identical and, for each CSV or
+JSON output that differs, prints the largest absolute and relative
+difference of each numeric column; it exits 0 when every file is
+identical, else 1.  ``counts`` runs each tracker command of
+:data:`COMMANDS` in-process through ``cli.main``, with
+``spectrum.s_derivatives`` and ``spectrum.find_peaks`` wrapped to count
+their calls, and prints the counts as two Markdown tables: fig2, fig3
+and the threshold sweep per zeta, then the other commands.
 """
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
@@ -62,6 +64,11 @@ COMMANDS = (
     + [("stack", "--spacing=0.3"), ("spectrum", "--format=json"),
        ("figures", "fig1", "--format=json"),
        ("peaks", "--zeta=-0.3", "--kmin=0.5", "--kmax=3.5")]
+    # spectra on the kernel core_scatter.grid() picks: a displaced
+    # middle, and two-hop grids below and above SCALAR_GRID_WORK
+    + [("spectrum", "--zeta-m=-196.6", "--x=0.001", *fmt)
+       for fmt in ((), ("--format=json",))]
+    + [("spectrum", "--zeta-m=-50", f"--points={n}") for n in (20000, 40000)]
     # the records with every column: the membrane block, and a report
     # above threshold with its empty cells
     + [("sensitivity", "--zeta=-10", "--zeta-m=-150", "--mass=1e-10",
@@ -118,45 +125,50 @@ def write(directory, commands=COMMANDS):
                 fh.write(data)
 
 
-def _table(text):
-    """The header and the rows of a CSV document, metadata dropped."""
+def _columns(text):
+    """``{column: cells}`` of a CSV or JSON document, metadata dropped."""
+    if text.startswith("{"):
+        return {name: value if isinstance(value, list) else [value]
+                for name, value in json.loads(text)["data"].items()}
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    if not lines:
-        return [], []
-    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+    rows = [ln.split(",") for ln in lines[1:]]
+    return {name: [row[j] for row in rows]
+            for j, name in enumerate(lines[0].split(",") if lines else [])}
 
 
 def _number(cell):
     try:
         return float(cell)
-    except ValueError:
+    except (TypeError, ValueError):
         return None
 
 
 def drift(a, b):
-    """Largest |difference| per column of two CSV documents.
+    """Largest |difference| per column of two CSV or JSON documents.
 
-    Returns ``{column: value}`` for the columns whose cells differ; a
-    column whose cells are not all numbers, or that the two documents
-    do not share row for row, reads nan.
+    Returns ``{column: (absolute, relative)}`` for the columns whose
+    cells differ, the relative difference taken against the larger
+    |cell|; a column whose cells are not all numbers, or that the two
+    documents do not share cell for cell, reads nan.
     """
-    head_a, rows_a = _table(a)
-    head_b, rows_b = _table(b)
-    if head_a != head_b or len(rows_a) != len(rows_b):
-        return {"(shape)": math.nan}
+    cols_a, cols_b = _columns(a), _columns(b)
+    if list(cols_a) != list(cols_b) or any(
+            len(cols_a[c]) != len(cols_b[c]) for c in cols_a):
+        return {"(shape)": (math.nan, math.nan)}
     out = {}
-    for j, column in enumerate(head_a):
-        worst = 0.0
-        for row_a, row_b in zip(rows_a, rows_b):
-            if row_a[j] == row_b[j]:
+    for column, cells_a in cols_a.items():
+        worst = rel = 0.0
+        for cell_a, cell_b in zip(cells_a, cols_b[column]):
+            if cell_a == cell_b:
                 continue
-            u, v = _number(row_a[j]), _number(row_b[j])
+            u, v = _number(cell_a), _number(cell_b)
             if u is None or v is None:
-                worst = math.nan
+                worst = rel = math.nan
                 break
             worst = max(worst, abs(u - v))
+            rel = max(rel, abs(u - v) / max(abs(u), abs(v)))
         if worst != 0.0:
-            out[column] = worst
+            out[column] = (worst, rel)
     return out
 
 
@@ -178,8 +190,10 @@ def compare(a, b, stream=sys.stdout):
             continue
         print(f"{entry}: differs", file=stream)
         if entry.endswith(".out"):
-            for column, worst in drift(*(d.decode() for d in data)).items():
-                print(f"  {column}: max |diff| = {worst:.3g}", file=stream)
+            for column, (worst, rel) in drift(
+                    *(d.decode() for d in data)).items():
+                print(f"  {column}: max |diff| = {worst:.3g}, relative "
+                      f"{rel:.3g}", file=stream)
     print(f"{same} of {len(names)} files identical", file=stream)
     return same == len(names)
 

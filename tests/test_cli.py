@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coalesce
-from coalesce import cli, closed_form, csv_rows, errors
+from coalesce import cli, closed_form, core_scatter, csv_rows, errors
 from coalesce.cli import load_config, main
 from coalesce.cli import ConfigError
 from coalesce.core_scatter import CavitySystem
@@ -639,15 +639,19 @@ def per_cell_rows(columns):
             for i in range(length)]
 
 
-def render_csv(params, columns, annotations, fmt_rows=-1):
-    """The CSV document the renderer streams, as one string.
+def render_csv(params, columns, annotations, kernel=True):
+    """The CSV document, as one string.
 
-    With the default ``fmt_rows`` every document, however short, goes
-    through the column kernel.
+    With ``kernel`` csv_rows writes its data rows, however short the
+    document and whatever its columns' type.  Else the CLI renders the
+    columns as lists, which it formats cell by cell with _fmt.
     """
-    with mock.patch.object(cli, "_FMT_ROWS", fmt_rows):
-        return b"".join(cli._render_csv(params, columns,
-                                        annotations)).decode()
+    if not kernel:
+        lists = {name: values.tolist() if hasattr(values, "dtype")
+                 else values for name, values in columns.items()}
+        return b"".join(cli._render_csv(params, lists, annotations)).decode()
+    return (cli._csv_head(params, columns, annotations)
+            + kernel_rows(list(columns.values())).decode())
 
 
 def kernel_rows(columns):
@@ -732,9 +736,8 @@ class TestCsvRenderer:
 
     @pytest.mark.parametrize("columns", COLUMNS)
     def test_short_document_matches_kernel(self, columns):
-        assert max(map(len, columns.values()), default=0) <= cli._FMT_ROWS
         assert render_csv({"a": 1}, columns, {"m": [0.5]},
-                          fmt_rows=cli._FMT_ROWS) == render_csv(
+                          kernel=False) == render_csv(
             {"a": 1}, columns, {"m": [0.5]})
 
     @given(st.lists(cell_values, max_size=30),
@@ -745,22 +748,24 @@ class TestCsvRenderer:
     def test_short_documents_drawn_match_kernel(self, floats, mixed):
         columns = {"floats": floats, "array": np.array(floats),
                    "mixed": mixed}
-        assert render_csv({}, columns, None, fmt_rows=cli._FMT_ROWS) == \
+        assert render_csv({}, columns, None, kernel=False) == \
             render_csv({}, columns, None)
 
-    def test_only_longer_documents_take_the_kernel(self, monkeypatch):
+    def test_only_array_documents_take_the_kernel(self, monkeypatch):
+        # the columns' type decides, not the document's length
         documents = []
         kernel = csv_rows.render
 
         def counted(columns, fmt, block):
-            documents.append(max(map(len, columns)))
+            documents.append([type(values) for values in columns])
             return kernel(columns, fmt, block)
 
         monkeypatch.setattr(csv_rows, "render", counted)
-        for rows in (cli._FMT_ROWS, cli._FMT_ROWS + 1):
-            render_csv({}, {"x": [0.5] * rows}, None,
-                       fmt_rows=cli._FMT_ROWS)
-        assert documents == [cli._FMT_ROWS + 1]
+        rows = 2 * cli._CSV_BLOCK
+        for columns in ({"x": [0.5] * rows, "y": (0.25,) * rows},
+                        {"x": [0.5] * 3, "y": np.full(3, 0.25)}):
+            b"".join(cli._render_csv({}, columns, None))
+        assert documents == [[list, np.ndarray]]
 
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf, -0.0, 5e-324, None, 0, -7, True,
@@ -770,7 +775,7 @@ class TestCsvRenderer:
         record = {"v": value, "x": 2.5, "n": None}
         columns = {k: [v] for k, v in record.items()}
         assert render_csv({"a": 1}, columns, None,
-                          fmt_rows=cli._FMT_ROWS) == render_csv(
+                          kernel=False) == render_csv(
             {"a": 1}, columns, None)
 
     def test_rows_across_blocks(self):
@@ -924,8 +929,12 @@ class TestRuntimeWithoutNumpy:
     # core_scatter.SCALAR_GRID_WORK, and `stack` evaluates its one
     # optimal spacing at any layer count.  The `peaks` window holds a
     # pulled pair and 6 kappa either side of it (684 grid points), as in
-    # the benchmark's `queries` workload.
+    # the benchmark's `queries` workload; the second `spectrum` is the
+    # longest two-hop grid on lists.
     SHORT_ARRAYS = [
+        ["spectrum"],
+        ["spectrum", "--zeta-m=-50",
+         f"--points={core_scatter.SCALAR_GRID_WORK // 2}"],
         ["peaks", "--zeta=-10.606371890891051", "--zeta-m=-174.7416361227954",
          "--kmin=6.153278644910792", "--kmax=6.21363650775691"],
         ["threshold", "--zeta=-9.3", "--numeric"],
@@ -954,8 +963,8 @@ class TestRuntimeWithoutNumpy:
         assert all(rc == 0 and out for rc, out in blocked)
 
     def test_short_documents_leave_kernel_and_pipelines_out(self, tmp_path):
-        # spectrum's 2001 rows lie within cli._FMT_ROWS; only figures and
-        # sweep-x run the pipelines of coalesce.experiments
+        # spectrum's 2001 rows are lists; only figures and sweep-x run
+        # the pipelines of coalesce.experiments
         src = os.path.dirname(os.path.dirname(coalesce.__file__))
         code = ("import sys, coalesce.cli\n"
                 "for argv in (['peaks'], ['threshold', '--numeric'],\n"

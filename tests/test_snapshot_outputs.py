@@ -34,7 +34,8 @@ def test_snapshots_compare_and_report_a_planted_drift(tmp_path,
     report = io.StringIO()
     assert not snapshot_outputs.compare(a, b, report)
     assert report.getvalue() == ("splitting.out: differs\n"
-                                 "  delta: max |diff| = 1e-06\n"
+                                 "  delta: max |diff| = 1e-06, "
+                                 "relative 0.000197\n"
                                  "5 of 6 files identical\n")
 
 

@@ -520,6 +520,12 @@ class TestTrackInputs:
         with pytest.raises(InvalidParameterError, match="k_min < k_max"):
             track(-10.0, -196.6, [0.0], window=window)
 
+    @pytest.mark.parametrize("window", [(6.13,), (6.1, 6.2, 6.3),
+                                        ("a", "b"), 6.13])
+    def test_window_is_two_numbers(self, window):
+        with pytest.raises(InvalidParameterError, match="two numbers"):
+            track(-10.0, -196.6, [0.0], window=window)
+
 
 class TestSeededTrack:
     """Seeded steps against the window search they replace."""
@@ -656,6 +662,40 @@ class TestSeededTrack:
         assert searches[0] == at_zero
         assert len(searches) == 1 + len(xs)
         assert window not in [(lo, hi) for _, lo, hi in searches[1:]]
+
+    def test_merged_window_start_is_searched_once(self, monkeypatch):
+        # at zeta_m = -202 the pair has merged at x = 0: the x = 0 step
+        # keeps the one peak the window's search found there
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return find_peaks(*args, **kwargs)
+
+        monkeypatch.setattr(spectrum, "find_peaks", counted)
+        window = (6.13, 6.23)
+        system = CavitySystem.with_middle(-10.0, -202.0, 0.0)
+        assert track(-10.0, -202.0, [0.0, 0.0], window=window) == [
+            tuple(find_peaks(system, *window))] * 2
+        assert searches == [(system, *window)]
+
+    def test_seeded_step_evaluates_its_seed_once(self, monkeypatch):
+        # the descent's s'' > 0 guard and its solve's first iterate share
+        # one evaluation of each guess (a tenth of kappa off its peak)
+        points = []
+
+        def counted(system, k):
+            points.append(k)
+            return core_scatter.s_derivatives(system, k)
+
+        monkeypatch.setattr(spectrum, "s_derivatives", counted)
+        kappa = bare_linewidth(-10.0)
+        guesses = [k + 0.1 * kappa
+                   for k in sorted(self.pair_seeds(-10.0, -150.0))]
+        system = CavitySystem.with_middle(-10.0, -150.0)
+        kept = spectrum._seeded_step(system, guesses, 8.0 * kappa)
+        assert len(kept) == 2
+        assert [points.count(guess) for guess in guesses] == [1, 1]
 
     @pytest.mark.parametrize("zeta_m", [-150.0, coalescence_threshold(-10.0)])
     def test_descent_refuses_a_seed_where_s_is_not_convex(self, zeta_m):
