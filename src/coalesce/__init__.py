@@ -41,7 +41,7 @@ _EXPORTS = {
         "run_fig3_mode_pulling", "run_threshold_sweep", "track_resonance"),
     "spectrum": (
         "ResonancePeak", "find_merge_point", "find_peaks", "peak_halfwidth",
-        "scan_transmission", "track"),
+        "track"),
     "two_mode": (
         "BOLTZMANN", "HBAR", "MembranePhysical", "PhysicalEnhancement",
         "SensitivityReport", "TwoModeParams", "branch_frequencies",

@@ -9,12 +9,12 @@ its bracketing grid cell, with the analytic derivatives of
 :func:`core_scatter.s_derivatives`.  Half-widths solve T = T_peak/2 the
 same way.  The grid maxima and their prominences are computed in-house,
 with the rules of SciPy's ``signal.find_peaks``, so numpy is the only
-runtime dependency.  :func:`core_scatter.grid` makes a search grid a
-list, searched in Python, or past its size an array; only that, and
-:func:`scan_transmission` (the numpy API), import numpy.  A peak is an
-immutable :class:`ResonancePeak` NamedTuple ``(k_peak, T_peak)``.
-Everything is a pure function of its inputs: identical calls return
-identical results.  :func:`track` is the one loop that follows peaks
+runtime dependency.  :func:`core_scatter.grid` makes a search grid and
+a :func:`sample_transmission` grid a list, evaluated and searched in
+Python, or past its size a numpy array.  A peak is an immutable
+:class:`ResonancePeak` NamedTuple ``(k_peak, T_peak)``.  Everything is
+a pure function of its inputs: identical calls return identical
+results.  :func:`track` is the one loop that follows peaks
 across displacements of the middle element (a threshold sweep row is
 one step at x = 0).  It has one start (seeds at x = 0, or the pair one
 search of a window finds there), one centre (the clamped closed-form
@@ -47,7 +47,6 @@ from .errors import (
 __all__ = [
     "ResonancePeak",
     "linspace",
-    "scan_transmission",
     "sample_transmission",
     "find_peaks",
     "peak_halfwidth",
@@ -79,35 +78,20 @@ def _window(k_min, k_max):
     return k_min, k_max
 
 
-def _samples(k_min, k_max, n_points):
-    """The checked window and point count of a uniform scan."""
+def sample_transmission(system: CavitySystem, k_min, k_max, n_points):
+    """Uniformly sample T(k) on [k_min, k_max] on the kernel grid() picks.
+
+    ``(ks, ts)`` are lists of floats for a grid within
+    :data:`core_scatter.SCALAR_GRID_WORK`, else numpy arrays; the
+    wavenumbers are those of ``numpy.linspace`` either way, and the
+    CLI's ``spectrum`` prints them.
+    """
     k_min, k_max = _window(k_min, k_max)
     n = int(n_points)
     if n < 2:
         raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
     if n > _MAX_GRID_POINTS:
         raise InvalidParameterError(f"n_points {n} exceeds {_MAX_GRID_POINTS}")
-    return k_min, k_max, n
-
-
-def scan_transmission(system: CavitySystem, k_min, k_max, n_points):
-    """Uniformly sample T(k) on [k_min, k_max]: numpy arrays ``(ks, ts)``."""
-    import numpy as np
-
-    k_min, k_max, n = _samples(k_min, k_max, n_points)
-    ks = np.linspace(k_min, k_max, n)
-    return ks, transmission(system, ks)
-
-
-def sample_transmission(system: CavitySystem, k_min, k_max, n_points):
-    """Uniformly sample T(k) on [k_min, k_max] on the kernel grid() picks.
-
-    ``(ks, ts)`` are lists of floats for a grid within
-    :data:`core_scatter.SCALAR_GRID_WORK`, else numpy arrays; the
-    wavenumbers are those of :func:`scan_transmission` either way, and
-    the CLI's ``spectrum`` prints them.
-    """
-    k_min, k_max, n = _samples(k_min, k_max, n_points)
     ks = grid(k_min, k_max, n, len(system.elements) + 1)
     return ks, transmission(system, ks)
 
@@ -117,58 +101,42 @@ def _grid_maxima(ts, prominence):
 
     The rules are those of SciPy's ``signal.find_peaks``.  A maximum is a
     rise, an optional flat top and a fall; a flat top reports its
-    midpoint, and a top touching an end of the array is no maximum.  The
-    result is an index array in increasing order.  On each side the
-    base is the lowest sample down to the nearest strictly higher sample
-    or the array end, and a maximum is kept when it stands at least
-    ``prominence`` above the higher of its two bases.  A list of floats
-    is searched in Python and gives a list of the same indices.
+    midpoint, and a top touching an end of the samples is no maximum.
+    The result is a list of indices in increasing order.  On each side
+    the base is the lowest sample down to the nearest strictly higher
+    sample or the end, and a maximum is kept when it stands at least
+    ``prominence`` above the higher of its two bases.  ``ts`` is a list
+    of floats or an array; numpy finds an array's rises and valleys.
     """
-    if isinstance(ts, list):
-        return _list_maxima(ts, prominence)
-    import numpy as np
+    x = ts
+    if isinstance(x, list):
+        ends = [i for i in range(1, len(x) - 1)
+                if x[i - 1] < x[i] and not x[i + 1] > x[i]]
+    else:
+        import numpy as np
 
-    x = np.asarray(ts, dtype=float)
-    up, down = x[1:] > x[:-1], x[1:] < x[:-1]
-    # a rise ends at x[left]; the top runs over equal samples to x[right]
-    left = np.flatnonzero(up[:-1] > up[1:]) + 1
-    right = left.copy()
-    moves = up | down
-    for n in np.flatnonzero(~down[left]):   # flat tops, rare on spectra
-        right[n] = left[n] + np.argmax(moves[left[n]:])
-    peaks = ((left + right) // 2)[down[right]]
-    if not peaks.size:
-        return peaks
-    # between consecutive tops (the maxima and both array ends) the
-    # samples fall and then rise, so a base is the lowest of the valleys
-    # between its maximum and the nearest strictly higher top
-    tops = np.concatenate(([0], peaks, [x.size - 1]))
-    heights = x[tops].tolist()
-    valleys = np.minimum.reduceat(x, tops[:-1]).tolist()
-    left_base = _bases(heights, valleys)
-    right_base = _bases(heights[::-1], valleys[::-1])[::-1]
-    base = np.maximum(left_base[1:-1], right_base[1:-1])
-    return peaks[x[peaks] - base >= prominence]
-
-
-def _list_maxima(x, prominence):
-    """:func:`_grid_maxima` of a list, by the same rules, in Python."""
+        x = np.asarray(x, dtype=float)
+        up = x[1:] > x[:-1]
+        ends = (np.flatnonzero(up[:-1] > up[1:]) + 1).tolist()
+    last = len(x) - 1
     peaks = []
-    i, last = 1, len(x) - 1
-    while i < last:
-        if x[i - 1] < x[i] and not x[i + 1] > x[i]:
-            j = i   # walk the flat top: samples neither rise nor fall
-            while j < last and not (x[j + 1] > x[j] or x[j + 1] < x[j]):
-                j += 1
-            if j < last and x[j + 1] < x[j]:
-                peaks.append((i + j) // 2)
-            i = j
-        i += 1
+    for i in ends:   # a rise ends at x[i]
+        j = i   # walk the flat top: samples neither rise nor fall
+        while j < last and not (x[j + 1] > x[j] or x[j + 1] < x[j]):
+            j += 1
+        if j < last and x[j + 1] < x[j]:
+            peaks.append((i + j) // 2)
     if not peaks:
         return peaks
+    # between consecutive tops (the maxima and both ends) the samples
+    # fall and then rise, so a base is the lowest of the valleys between
+    # its maximum and the nearest strictly higher top
     tops = [0, *peaks, last]
+    if isinstance(x, list):
+        valleys = [min(x[a:b]) for a, b in zip(tops, tops[1:-1] + [last + 1])]
+    else:   # a Python min over numpy samples is slow
+        valleys = np.minimum.reduceat(x, tops[:-1]).tolist()
     heights = [x[t] for t in tops]
-    valleys = [min(x[a:b]) for a, b in zip(tops, tops[1:-1] + [last + 1])]
     left_base = _bases(heights, valleys)
     right_base = _bases(heights[::-1], valleys[::-1])[::-1]
     return [p for p, h, lb, rb in zip(peaks, heights[1:], left_base[1:],
@@ -453,7 +421,9 @@ def find_merge_point(zeta, zeta_m_range: Tuple, pair_index=1):
     the range does not straddle the merge.
     """
     a, b = float(zeta_m_range[0]), float(zeta_m_range[1])
-    if not (math.isfinite(a) and math.isfinite(b)) or a * b <= 0.0:
+    # signs, not a product a * b that can underflow
+    if not (math.isfinite(a) and math.isfinite(b)
+            and (min(a, b) > 0.0 or max(a, b) < 0.0)):
         raise InvalidParameterError(
             f"zeta_m_range must be two same-sign values, got {zeta_m_range!r}")
     kappa = closed_form.bare_linewidth(zeta)

@@ -128,7 +128,10 @@ def branch_frequencies(params: TwoModeParams, x) -> Optional[Tuple[float, float]
     the merged regime (radicand < 0), where the model has a single peak.
     """
     xv = _finite("x", x)
-    rad = params.delta ** 2 + (params.g_m * xv) ** 2 - params.kappa ** 2
+    # products overflow to inf where ** raises OverflowError
+    coupling = params.g_m * xv
+    rad = (params.delta * params.delta + coupling * coupling
+           - params.kappa * params.kappa)
     if rad < 0.0:
         return None
     shift = math.sqrt(rad)

@@ -81,6 +81,10 @@ COMMANDS = (
         ("--mass=1e300", "--mech-freq=1e300"),
         ("--mass=1e-200", "--mech-freq=1e-200"),
         ("--zeta-m=-1e-320", "--mass=1e-10", "--mech-freq=6e5"))]
+    # a linewidth whose square overflows, and a merge bracket whose
+    # product of ends underflows
+    + [("figures", "fig2", "--zeta=1e-300"),
+       ("threshold", "--numeric", "--zeta=-1e-170")]
     # one command per error token the CLI can reach, and a usage error
     + [
         ("threshold", "--config", "missing.cfg"),

@@ -22,7 +22,6 @@ from coalesce import cli, closed_form, core_scatter, csv_rows, errors
 from coalesce.cli import load_config, main
 from coalesce.cli import ConfigError
 from coalesce.core_scatter import CavitySystem
-from coalesce.spectrum import scan_transmission
 
 FLOAT_12SIG = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 
@@ -62,8 +61,9 @@ class TestSpectrumCsv:
         target = tmp_path / "spec.csv"
         assert main(["spectrum", "--zeta-m=-50", "--points=200000",
                      f"--output={target}"]) == 0
-        ks, ts = scan_transmission(CavitySystem.with_middle(-10.0, -50.0),
-                                   5.8, 6.4, 200000)
+        ks = np.linspace(5.8, 6.4, 200000)
+        ts = core_scatter.transmission(CavitySystem.with_middle(-10.0, -50.0),
+                                       ks)
         lines = target.read_text().split("\n")
         want = ["%.11e,%.11e" % row for row in zip(ks.tolist(), ts.tolist())]
         assert lines[lines.index("k,T") + 1:] == want + [""]
@@ -562,6 +562,29 @@ class TestSubnormalMirror:
         assert code == 0
         assert json.loads(out)["data"]["kappa"] == pytest.approx(5e299,
                                                                  rel=1e-15)
+
+    @pytest.mark.parametrize("argv", [
+        ("figures", "fig2", "--zeta=1e-300"),
+        ("figures", "fig3", "--zeta=1e-300"),
+        ("sweep-x", "--zeta=1e-300", "--zeta-m=-1e-301"),
+    ], ids=" ".join)
+    def test_squared_linewidth_overflow_exits_3(self, capsys, argv):
+        # kappa squared overflows to inf, so there is no pair to identify
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[pair-identification]:")
+
+    @pytest.mark.parametrize("argv", [
+        ("threshold", "--numeric", "--zeta=-1e-170"),
+        ("figures", "threshold-sweep", "--zeta=-1e-170"),
+    ], ids=" ".join)
+    def test_underflowing_bracket_is_not_bracketed(self, capsys, argv):
+        # both ends are negative, but their product underflows to 0.0
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[not-bracketed]:")
 
 
 class TestNegativeNumbers:

@@ -21,7 +21,6 @@ from coalesce import (
     mode_splitting,
     peak_halfwidth,
     peak_positions,
-    scan_transmission,
     track,
     transmission,
     tunneling_rate,
@@ -73,17 +72,21 @@ class TestLinspace:
             spectrum.linspace(0.0, 1.0, -1)
 
 
-class TestScanTransmission:
+class TestSampleTransmission:
     def test_shape_and_range(self):
-        ks, ts = scan_transmission(SYS_EMPTY, 2.0, 4.0, 101)
-        assert ks.shape == ts.shape == (101,)
-        assert ks[0] == 2.0 and ks[-1] == 4.0
-        assert all(0.0 <= t <= 1.0 for t in ts)
+        # SYS_EMPTY has one hop: a list at 101 points, an array past the bound
+        for n in (101, core_scatter.SCALAR_GRID_WORK + 1):
+            ks, ts = spectrum.sample_transmission(SYS_EMPTY, 2.0, 4.0, n)
+            assert len(ks) == len(ts) == n
+            assert np.shape(ks) == np.shape(ts) == (n,)
+            assert ks[0] == 2.0 and ks[-1] == 4.0
+            assert all(0.0 <= t <= 1.0 for t in ts)
 
     def test_perfect_limit_peaks_on_pi_lattice(self):
         # |zeta| -> inf: resonances at n pi, located within grid resolution
         sys_inf = CavitySystem.empty(-1e6)
-        ks, ts = scan_transmission(sys_inf, 2.9, 9.6, 3001)
+        ks = np.linspace(2.9, 9.6, 3001)
+        ts = transmission(sys_inf, ks)
         step = ks[1] - ks[0]
         for n in (1, 2, 3):
             window = (ks > n * math.pi - 0.5) & (ks < n * math.pi + 0.5)
@@ -102,29 +105,26 @@ class TestScanTransmission:
         assert peaks[0].T_peak < 1.0
 
     def test_bad_window_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            scan_transmission(SYS_EMPTY, 4.0, 2.0, 10)
-        with pytest.raises(InvalidParameterError):
-            scan_transmission(SYS_EMPTY, -1.0, 2.0, 10)
-        with pytest.raises(InvalidParameterError):
-            scan_transmission(SYS_EMPTY, 1.0, 2.0, 1)
+        for bad in ((4.0, 2.0, 10), (-1.0, 2.0, 10), (1.0, 2.0, 1)):
+            with pytest.raises(InvalidParameterError):
+                spectrum.sample_transmission(SYS_EMPTY, *bad)
 
     def test_deterministic(self):
-        ks_a, ts_a = scan_transmission(SYS_PAIR, 6.1, 6.3, 501)
-        ks_b, ts_b = scan_transmission(SYS_PAIR, 6.1, 6.3, 501)
-        assert np.array_equal(ks_a, ks_b) and np.array_equal(ts_a, ts_b)
+        # SYS_PAIR has two hops: lists at 501 points, arrays past the bound
+        for n in (501, core_scatter.SCALAR_GRID_WORK // 2 + 1):
+            ks_a, ts_a = spectrum.sample_transmission(SYS_PAIR, 6.1, 6.3, n)
+            ks_b, ts_b = spectrum.sample_transmission(SYS_PAIR, 6.1, 6.3, n)
+            assert bits(ks_a) == bits(ks_b) and bits(ts_a) == bits(ts_b)
 
     def test_samples_are_lists_below_the_bound(self):
         n = core_scatter.SCALAR_GRID_WORK // 2   # SYS_PAIR has two hops
         for points, kind in ((501, list), (n, list), (n + 1, np.ndarray)):
             ks, ts = spectrum.sample_transmission(SYS_PAIR, 6.1, 6.3, points)
             assert type(ks) is type(ts) is kind
-            want_ks, want_ts = scan_transmission(SYS_PAIR, 6.1, 6.3, points)
+            want_ks = np.linspace(6.1, 6.3, points)
             assert bits(ks) == bits(want_ks)
-            np.testing.assert_allclose(ts, want_ts, rtol=1e-12, atol=0.0)
-        for bad in ((4.0, 2.0, 10), (-1.0, 2.0, 10), (1.0, 2.0, 1)):
-            with pytest.raises(InvalidParameterError):
-                spectrum.sample_transmission(SYS_EMPTY, *bad)
+            np.testing.assert_allclose(ts, transmission(SYS_PAIR, want_ks),
+                                       rtol=1e-12, atol=0.0)
 
 
 class TestFindPeaks:
@@ -749,6 +749,14 @@ class TestFindMergePoint:
         with pytest.raises(InvalidParameterError):
             find_merge_point(-10.0, (150.0, -250.0))
 
+    def test_sign_test_does_not_underflow(self):
+        # the product of these ends underflows to 0.0
+        with pytest.raises(NotBracketedError):
+            find_merge_point(-1e-170, (-1.5e-170, -2.5e-170))
+        for ends in ((1e-170, -1e-170), (0.0, -250.0), (-0.0, -250.0)):
+            with pytest.raises(InvalidParameterError):
+                find_merge_point(-10.0, ends)
+
     @pytest.mark.parametrize("zeta", [-3.0, -10.0, -30.0, -100.0, -1000.0])
     def test_fold_is_the_closed_form_threshold(self, zeta):
         star = coalescence_threshold(zeta)
@@ -792,51 +800,52 @@ def both_kinds(values):
 
 
 class TestGridMaxima:
-    """An array is searched by numpy, a list in Python, by the same rules."""
+    """A list and an array give the same list of indices."""
 
     def test_plateaus_and_ends(self):
         values = [2.0, 2.0, 1.0, 3.0, 3.0, 3.0, 3.0, 0.0, 5.0, 5.0]
         for x in both_kinds(values):
             # the end plateaus are no maxima; the flat top reports its midpoint
-            assert list(_grid_maxima(x, 0.0)) == [4]
+            assert _grid_maxima(x, 0.0) == [4]
 
     def test_prominence_walks_to_the_higher_neighbour(self):
         for x in both_kinds([0.0, 5.0, 4.0, 4.5, 1.0, 6.0, 0.0]):
             # 4.5 is based on the 4.0 saddle toward 5, so it stands 0.5 high
-            assert list(_grid_maxima(x, 0.5)) == [1, 3, 5]
-            assert list(_grid_maxima(x, 0.6)) == [1, 5]
+            assert _grid_maxima(x, 0.5) == [1, 3, 5]
+            assert _grid_maxima(x, 0.6) == [1, 5]
 
     def test_prominence_walks_past_equal_tops(self):
         # each 3 walks through the other to the 0 beyond, so stands 3 high
         for x in both_kinds([0.0, 3.0, 1.0, 3.0, 0.0]):
-            assert list(_grid_maxima(x, 2.5)) == [1, 3]
+            assert _grid_maxima(x, 2.5) == [1, 3]
 
     def test_short_and_flat_inputs(self):
         for values in ([], [1.0], [1.0, 2.0], [3.0, 3.0, 3.0]):
             for x in both_kinds(values):
-                assert len(_grid_maxima(x, 0.0)) == 0
+                assert _grid_maxima(x, 0.0) == []
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(x=st.one_of(levels, rippled),
            prominence=st.sampled_from([0.0, 1e-10, 1e-9, 1.0, 2.0, 3.0]))
     def test_list_and_array_give_equal_indices(self, x, prominence):
-        got = _grid_maxima(x.tolist(), prominence)
-        assert type(got) is list
-        assert got == _grid_maxima(x, prominence).tolist()
+        got = [_grid_maxima(samples, prominence) for samples in (x.tolist(), x)]
+        assert type(got[0]) is type(got[1]) is list
+        assert got[0] == got[1]
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(x=st.one_of(levels, rippled),
            prominence=st.sampled_from([0.0, 1e-10, 1e-9, 1.0, 2.0, 3.0]))
     def test_same_indices_as_scipy(self, x, prominence):
-        want = scipy_maxima(x, prominence)
-        got = _grid_maxima(x, prominence)
-        assert got.tolist() == want.tolist()
+        want = scipy_maxima(x, prominence).tolist()
+        for samples in both_kinds(x):
+            assert _grid_maxima(samples, prominence) == want
 
     def test_same_indices_as_scipy_on_spectra(self):
         for zm in (-50.0, -196.6, coalescence_threshold(-10.0), -260.0):
             system = CavitySystem.with_middle(-10.0, zm)
-            _, ts = scan_transmission(system, 2.0, 13.0, 200001)
+            _, ts = spectrum.sample_transmission(system, 2.0, 13.0, 200001)
+            assert type(ts) is np.ndarray   # past SCALAR_GRID_WORK
             for prominence in (0.0, 1e-9):
                 want = scipy_maxima(ts, prominence).tolist()
-                assert _grid_maxima(ts, prominence).tolist() == want
+                assert _grid_maxima(ts, prominence) == want
                 assert _grid_maxima(ts.tolist(), prominence) == want

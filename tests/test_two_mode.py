@@ -150,6 +150,11 @@ class TestBranchFrequencies:
         assert branch_frequencies(p, 0.0) is None
         assert branch_frequencies(p, 1e-3) is not None
 
+    def test_overflowing_linewidth_is_merged(self):
+        # kappa squared overflows to inf, where kappa ** 2 would raise
+        p = TwoModeParams(6.0, 0.1, 1e160, 1.0)
+        assert branch_frequencies(p, 0.0) is None
+
     @pytest.mark.parametrize("zeta_m", [-150.0, -170.0, -196.6])
     def test_centered_gap_matches_pulled_peak_formula(self, zeta_m):
         from coalesce import peak_positions
