@@ -138,9 +138,12 @@ def mode_splitting(zeta_m):
 
     Branch fixed via atan2 so the splitting runs continuously from the
     bare FSR pi at zeta_m = 0 down to 0 as |zeta_m| -> inf; identically
-    equal to 2*arctan(1/|zeta_m|).
+    equal to 2*arctan(1/|zeta_m|), which rounds to 2/|zeta_m| where
+    zeta_m^2 overflows (|zeta_m| >~ 1.34e154).
     """
     zm = _finite("zeta_m", zeta_m)
+    if not math.isfinite(zm * zm):   # atan2(2*zeta_m, inf) would be 0
+        return 2.0 / abs(zm)
     return abs(math.atan2(2.0 * zm, zm * zm - 1.0))
 
 
@@ -151,6 +154,10 @@ def coalescence_threshold(zeta):
     |zeta_m_star| >= 2|zeta|.
     """
     return _two_zeta_root(_finite("zeta", zeta))
+
+
+class _Overflow(InvalidParameterError):
+    """The pulled-peak cosines overflow: zeta is too strong."""
 
 
 class PairPeaks(NamedTuple):
@@ -179,7 +186,8 @@ def peak_positions(zeta, zeta_m, n=1):
     is the mirror image at ``2 n pi + eps``: at x = 0, T_zeta(2 n pi + u)
     = T_-zeta(2 n pi - u), and the cosines are even in (zeta, zeta_m).
     Raises :class:`AboveThresholdError` when |zeta_m| exceeds the
-    coalescence threshold (negative discriminant).
+    coalescence threshold (negative discriminant), and
+    :class:`InvalidParameterError` where the cosines overflow (|zeta| >~ 1e44).
     """
     z = _finite("zeta", zeta)
     zm = _finite("zeta_m", zeta_m)
@@ -188,20 +196,22 @@ def peak_positions(zeta, zeta_m, n=1):
     if int(n) != n or n < 1:
         raise InvalidParameterError(f"pair index must be an integer >= 1, got {n}")
     disc = 4.0 * z * z * (z * z + 1.0) - zm * zm
-    if disc < 0.0:
-        # exact-threshold inputs can land at -O(eps); anything beyond is
-        # genuinely above threshold
-        if disc < -1e-9 * (4.0 * z * z * (z * z + 1.0)):
-            raise AboveThresholdError(
-                f"|zeta_m| = {abs(zm):g} exceeds the coalescence threshold "
-                f"|zeta_m_star| = {abs(coalescence_threshold(z)):g}")
-        disc = 0.0
-    root = math.sqrt(disc)
+    # exact-threshold inputs can land at -O(eps); anything beyond is
+    # genuinely above threshold
+    if disc < -1e-9 * (4.0 * z * z * (z * z + 1.0)):
+        raise AboveThresholdError(
+            f"|zeta_m| = {abs(zm):g} exceeds the coalescence threshold "
+            f"|zeta_m_star| = {abs(coalescence_threshold(z)):g}")
+    root = math.sqrt(max(disc, 0.0))
     den = 2.0 * z * (z * z + 1.0) * (zm * zm + 1.0)
     base = zm * (2.0 * z * z + 1.0) * (z * zm - 1.0)
     cos_p = (base + (z + zm) * root) / den
     cos_m = (base - (z + zm) * root) / den
     for c in (cos_p, cos_m):
+        if not math.isfinite(c):   # NaN would clamp to cos(eps) = -1
+            raise _Overflow(
+                f"zeta = {z!r} is too strong: the pulled-peak cosine "
+                "overflows")
         if abs(c) > 1.0 + 1e-12:
             raise InternalConsistencyError(
                 f"cos(eps) = {c!r} outside [-1, 1]; broken branch choice")
@@ -356,7 +366,8 @@ class ClosedFormReport(NamedTuple):
     """Bundle of the closed forms for one (zeta, zeta_m) configuration.
 
     ``eps_plus``/``eps_minus``/``pair_gap`` are None above the
-    coalescence threshold, where the pulled-peak formula is complex.
+    coalescence threshold, where the pulled-peak formula is complex, and
+    where :func:`peak_positions` refuses a zeta too strong for it.
     """
 
     kappa: float
@@ -374,12 +385,8 @@ def report(zeta, zeta_m, n=1):
     star = coalescence_threshold(zeta)
     try:
         pair = peak_positions(zeta, zeta_m, n)
-        period = 2.0 * int(n) * math.pi
-        eps_plus = abs(period - pair.k_odd)
-        eps_minus = abs(period - pair.k_even)
-        gap = pair.gap
-    except AboveThresholdError:
-        eps_plus = eps_minus = gap = None
-    return ClosedFormReport(kappa=kappa, delta=delta, zeta_m_star=star,
-                            eps_plus=eps_plus, eps_minus=eps_minus,
-                            pair_gap=gap)
+    except (AboveThresholdError, _Overflow):
+        return ClosedFormReport(kappa, delta, star, None, None, None)
+    period = 2.0 * int(n) * math.pi
+    return ClosedFormReport(kappa, delta, star, abs(period - pair.k_odd),
+                            abs(period - pair.k_even), pair.gap)

@@ -83,29 +83,15 @@ class CavitySystem(_Cavity):
     ``elements`` is an ordered tuple of ``(position, polarizability)``
     pairs with positions strictly increasing and strictly inside (0, 1).
     The constructor checks both; the kernels walk the (gap, zeta) hops
-    it derives from them.
+    of the stack of the elements between the two mirrors.
     """
 
     def __new__(cls, zeta_end, elements=()):
         zeta_end = _finite("zeta_end", zeta_end)
-        els, hops = [], []
-        prev = 0.0
-        for item in elements:
-            pos, zeta = item
-            pos = _finite("element position", pos)
-            zeta = _finite("element polarizability", zeta)
-            if not 0.0 < pos < 1.0:
-                raise InvalidParameterError(
-                    f"element position {pos} not strictly inside (0, 1)")
-            if pos <= prev:
-                raise InvalidParameterError(
-                    "element positions must be strictly increasing")
-            hops.append((pos - prev, zeta))
-            prev = pos
-            els.append((pos, zeta))
-        hops.append((1.0 - prev, zeta_end))   # (gap, zeta) steps
-        self = super().__new__(cls, zeta_end, tuple(els))
-        self._hops = tuple(hops)   # in __dict__: a tuple takes no slots
+        els = tuple(_elements(elements, "element polarizability", inside=True))
+        self = super().__new__(cls, zeta_end, els)
+        # the stack from mirror to mirror; in __dict__: a tuple takes no slots
+        self._hops = _hops(((0.0, zeta_end), *els, (1.0, zeta_end)))
         return self
 
     _make = classmethod(lambda cls, values: cls(*values))   # _replace checks
@@ -123,6 +109,28 @@ class CavitySystem(_Cavity):
             raise InvalidParameterError(
                 f"|displacement| must be < 1/2, got {x}")
         return cls(zeta_end=zeta_end, elements=((0.5 + x, zeta_m),))
+
+
+def _elements(elements, name, inside=False):
+    """The (position, polarizability ``name``) pairs, checked one by one:
+    finite, strictly inside (0, 1) if ``inside``, strictly increasing."""
+    prev = -math.inf
+    for pos, zeta in elements:
+        pos = _finite("element position", pos)
+        zeta = _finite(name, zeta)
+        if inside and not 0.0 < pos < 1.0:
+            raise InvalidParameterError(
+                f"element position {pos} not strictly inside (0, 1)")
+        if pos <= prev:
+            raise InvalidParameterError(
+                "element positions must be strictly increasing")
+        prev = pos
+        yield pos, zeta
+
+
+def _hops(els):
+    """The (gap, zeta) hops of :func:`_compose` from ``els[0]`` on."""
+    return tuple([(q - p, zeta) for (p, _), (q, zeta) in zip(els, els[1:])])
 
 
 def linspace(start, stop, num):
@@ -222,22 +230,6 @@ def _compose(zeta_first, hops, k):
     return a, b
 
 
-def _system_ab(system, k):
-    return _compose(system.zeta_end, system._hops, _check_k(k))
-
-
-def _stack_ab(elements, k):
-    els = [(_finite("element position", pos),
-            _finite("zeta", zeta)) for pos, zeta in elements]
-    if not els:
-        raise InvalidParameterError("stack needs at least one element")
-    if any(q <= p for (p, _), (q, _) in zip(els, els[1:])):
-        raise InvalidParameterError(
-            "element positions must be strictly increasing")
-    hops = [(q - p, zeta) for (p, _), (q, zeta) in zip(els, els[1:])]
-    return _compose(els[0][1], hops, _check_k(k))
-
-
 def transmission(system: CavitySystem, k):
     """Intensity transmission T(k) = 1/|m22|^2 of the system.
 
@@ -298,7 +290,7 @@ def reflection_amplitude(system: CavitySystem, k):
 
     Satisfies |r|^2 + T = 1 for every lossless system.
     """
-    a, b = _system_ab(system, k)
+    a, b = _compose(system.zeta_end, system._hops, _check_k(k))
     return -b.conjugate() / a.conjugate()
 
 
@@ -311,15 +303,17 @@ def effective_polarizability(elements: Sequence, k):
     reported as ``inf``; it is unreachable for finite polarizabilities.
     A float ``k`` gives a float and takes no numpy.
     """
-    _, b = _stack_ab(elements, k)
+    els = tuple(_elements(elements, "zeta"))
+    if not els:
+        raise InvalidParameterError("stack needs at least one element")
+    _, b = _compose(els[0][1], _hops(els), _check_k(k))
     if isinstance(b, complex):
         val = abs(b)
         return val if math.isfinite(val) else math.inf
     import numpy as np
 
     val = np.abs(b)
-    val = np.where(np.isfinite(val), val, np.inf)
-    return float(val) if np.ndim(k) == 0 else val
+    return np.where(np.isfinite(val), val, np.inf)
 
 
 def maximize_stack_polarizability(zeta, n_elements, k=2.0 * math.pi):

@@ -9,8 +9,8 @@ its bracketing grid cell, with the analytic derivatives of
 :func:`core_scatter.s_derivatives`.  Half-widths solve T = T_peak/2 the
 same way.  The grid maxima and their prominences are computed in-house,
 with the rules of SciPy's ``signal.find_peaks``, so numpy is the only
-runtime dependency.  :func:`core_scatter.grid` makes a search grid and
-a :func:`sample_transmission` grid a list, evaluated and searched in
+runtime dependency.  A search samples T through :func:`sample_transmission`
+on a :func:`core_scatter.grid`: a list, evaluated and searched in
 Python, or past its size a numpy array.  A peak is an immutable
 :class:`ResonancePeak` NamedTuple ``(k_peak, T_peak)``.  Everything is
 a pure function of its inputs: identical calls return identical
@@ -162,19 +162,19 @@ def _bases(heights, valleys):
     return out
 
 
-def _grid_for(system, k_min, k_max, grid_per_kappa):
+def _grid_points(system, k_min, k_max, grid_per_kappa):
+    """Points of a search grid: a step <= kappa / grid_per_kappa, >= 32."""
     if system.zeta_end == 0.0:
         raise InvalidParameterError(
             "peak search needs reflective end mirrors (zeta_end != 0)")
     kappa = closed_form.bare_linewidth(system.zeta_end)
     step = kappa / float(grid_per_kappa)
-    n = int(math.ceil((k_max - k_min) / step)) + 1
-    n = max(n, 32)
+    n = max(int(math.ceil((k_max - k_min) / step)) + 1, 32)
     if n > _MAX_GRID_POINTS:
         raise InvalidParameterError(
             f"window needs {n} grid points (> {_MAX_GRID_POINTS}); "
             "narrow the window or lower grid_per_kappa")
-    return grid(k_min, k_max, n, len(system.elements) + 1)
+    return n
 
 
 def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50):
@@ -203,8 +203,8 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50):
     if grid_per_kappa < 10:
         raise InvalidParameterError(
             f"grid_per_kappa must be >= 10, got {grid_per_kappa}")
-    ks = _grid_for(system, k_min, k_max, grid_per_kappa)
-    ts = transmission(system, ks)
+    n = _grid_points(system, k_min, k_max, grid_per_kappa)
+    ks, ts = sample_transmission(system, k_min, k_max, n)
     peaks = []
     for i in _grid_maxima(ts, _PROMINENCE):
         # floats, not numpy scalars, so an error names a plain k

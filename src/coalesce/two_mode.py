@@ -19,7 +19,6 @@ from typing import NamedTuple, Optional, Tuple
 from . import closed_form
 from .errors import (
     DivergentSensitivityError,
-    InternalConsistencyError,
     InvalidParameterError,
     finite as _finite,
 )
@@ -105,20 +104,15 @@ def two_mode_transmission(params: TwoModeParams, probe):
 def tunneling_rate(zeta_m, omega):
     """Displacement-tunneling rate g_m between the pair members.
 
-    g_m = 2*omega * sqrt((zeta_m/2) * atan2(2*zeta_m, zeta_m^2 - 1)),
-    with the same branch as :func:`closed_form.mode_splitting` so the
-    radicand equals |zeta_m| * delta >= 0 for every real zeta_m.  Tends
-    to 2*omega as |zeta_m| -> inf and to 0 as zeta_m -> 0.
+    g_m = 2*omega * sqrt(|zeta_m|/2 * closed_form.mode_splitting(zeta_m)),
+    the radicand being |zeta_m| * delta.  Tends to 2*omega as
+    |zeta_m| -> inf and to 0 as zeta_m -> 0.
     """
     zm = _finite("zeta_m", zeta_m)
     om = _finite("omega", omega)
     if om <= 0:
         raise InvalidParameterError(f"omega must be > 0, got {om}")
-    radicand = 0.5 * zm * math.atan2(2.0 * zm, zm * zm - 1.0)
-    if radicand < -1e-15 * (1.0 + zm * zm):
-        raise InternalConsistencyError(
-            f"negative tunneling radicand {radicand!r}; broken branch")
-    return 2.0 * om * math.sqrt(max(radicand, 0.0))
+    return 2.0 * om * math.sqrt(0.5 * abs(zm) * closed_form.mode_splitting(zm))
 
 
 def branch_frequencies(params: TwoModeParams, x) -> Optional[Tuple[float, float]]:
@@ -193,15 +187,19 @@ def readout_sensitivity(zeta, zeta_m, omega):
     z = _finite("zeta", zeta)
     zm = _finite("zeta_m", zeta_m)
     star = closed_form.coalescence_threshold(z)
-    if zm * zm >= star * star:
+    if not abs(zm) < abs(star):
         raise DivergentSensitivityError(
             f"|zeta_m| = {abs(zm):g} at or above the coalescence threshold "
             f"|zeta_m_star| = {abs(star):g}: readout sensitivity diverges")
-    enhancement = 2.0 * z * z / math.sqrt(star * star - zm * zm)
+    e = math.frexp(star)[1]   # exact scaling: no square under- or overflows
+    zs, zms, ss = (math.ldexp(v, -e) for v in (z, zm, star))
+    enhancement = math.ldexp(2.0 * zs * zs / math.sqrt(ss * ss - zms * zms), e)
     base = quadratic_coupling_base(zm, omega)
     _, delta, kappa, g_m = TwoModeParams.at(z, zm, omega)
-    gap2 = delta * delta - kappa * kappa
-    x_bound = math.sqrt(max(gap2, 0.0)) / g_m if g_m > 0 else math.inf
+    e = math.frexp(delta)[1]   # the same scaling: delta > 0
+    ds, ks = math.ldexp(delta, -e), math.ldexp(kappa, -e)
+    gap = math.ldexp(math.sqrt(max(ds * ds - ks * ks, 0.0)), e)
+    x_bound = gap / g_m if g_m > 0 else math.inf
     eta_at_bound = float(omega) * x_bound
     cap = 2.0 / (eta_at_bound * abs(zm)) if eta_at_bound > 0 and zm != 0 \
         else math.inf

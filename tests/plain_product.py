@@ -59,7 +59,8 @@ def system_matrix(system: CavitySystem, k):
     the interior elements with their gaps, propagation from the left
     mirror, end mirror.
     """
-    return _matrix(*core_scatter._system_ab(system, k))
+    return _matrix(*core_scatter._compose(system.zeta_end, system._hops,
+                                           core_scatter._check_k(k)))
 
 
 def stack_matrix(elements: Sequence, k):
@@ -67,6 +68,11 @@ def stack_matrix(elements: Sequence, k):
 
     ``elements`` is a sequence of ``(position, polarizability)`` pairs
     with strictly increasing positions; only the gaps between elements
-    enter.
+    enter.  The elements are checked as ``effective_polarizability``
+    checks them.
     """
-    return _matrix(*core_scatter._stack_ab(elements, k))
+    els = list(core_scatter._elements(elements, "zeta"))
+    if not els:
+        raise InvalidParameterError("stack needs at least one element")
+    return _matrix(*core_scatter._compose(els[0][1], core_scatter._hops(els),
+                                           core_scatter._check_k(k)))

@@ -85,6 +85,14 @@ COMMANDS = (
     # product of ends underflows
     + [("figures", "fig2", "--zeta=1e-300"),
        ("threshold", "--numeric", "--zeta=-1e-170")]
+    # squares and products that under- or overflow: the enhancement at
+    # zeta_m = zeta_m_star / 2, the splitting, and the pulled pair
+    + [("sensitivity", f"--zeta={zeta}", f"--zeta-m={zeta_m}",
+        "--omega=6.283185307179586")
+       for zeta, zeta_m in (("-1e77", "-1e154"), ("-1e100", "-1e200"),
+                            ("-1e-170", "-1e-170"))]
+    + [("splitting", "--zeta-m=-1e200"),
+       ("report", "--zeta=-1e50", "--zeta-m=-1e100")]
     # one command per error token the CLI can reach, and a usage error
     + [
         ("threshold", "--config", "missing.cfg"),

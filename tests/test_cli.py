@@ -587,6 +587,45 @@ class TestSubnormalMirror:
         assert err.startswith("error[not-bracketed]:")
 
 
+class TestExtremePolarizabilities:
+    """Closed forms whose squares or products under- or overflow."""
+
+    @pytest.mark.parametrize("zeta", ["-1e77", "-1e100", "-1e-170"])
+    def test_sensitivity_at_half_the_threshold(self, capsys, zeta):
+        # zeta_m = zeta_m_star / 2, so the enhancement is
+        # 2 zeta^2 / (|zeta_m_star| sqrt(3/4)) = |zeta| / sqrt(3/4) here
+        zeta_m = 0.5 * closed_form.coalescence_threshold(float(zeta))
+        code, out, _ = run_cli(capsys, "sensitivity", f"--zeta={zeta}",
+                               f"--zeta-m={zeta_m!r}",
+                               "--omega=6.283185307179586", "--format=json")
+        assert code == 0
+        data = json.loads(out)["data"]
+        want = min(abs(float(zeta)), 1.0) / math.sqrt(0.75)
+        assert data["enhancement"] == pytest.approx(want, rel=1e-14, abs=0)
+
+    def test_splitting_past_the_square_overflow(self, capsys):
+        code, out, _ = run_cli(capsys, "splitting", "--zeta-m=-1e200",
+                               "--format=json")
+        assert code == 0
+        assert json.loads(out)["data"] == {"two_delta": 2e-200,
+                                           "delta": 1e-200}
+
+    def test_overflowing_pair_leaves_report_cells_empty(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--zeta=-1e50",
+                               "--zeta-m=-1e100", "--format=json")
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert data["omega"] is None and data["pair_gap"] is None
+        assert data["kappa"] == pytest.approx(5e-101, rel=1e-15, abs=0)
+
+    def test_overflowing_pair_refuses_sensitivity(self, capsys):
+        code, out, err = run_cli(capsys, "sensitivity", "--zeta=-1e50",
+                                 "--zeta-m=-1e100")
+        assert code == 3 and out == ""
+        assert err.startswith("error[invalid-parameter]:")
+        assert "too strong" in err
+
+
 class TestNegativeNumbers:
     @pytest.mark.parametrize("text", ["-1e3", "-1E-2", "-.5"])
     def test_both_spellings_parse(self, capsys, text):

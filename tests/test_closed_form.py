@@ -100,6 +100,18 @@ class TestModeSplitting:
         values = [mode_splitting(z) for z in (-0.1, -1.0, -5.0, -100.0)]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("zeta_m", [-1e200, 1.35e154, -1.7e308])
+    def test_overflowing_square(self, zeta_m):
+        # 2 atan(1/|zeta_m|) rounds to 2/|zeta_m| there
+        assert mode_splitting(zeta_m) == 2.0 / abs(zeta_m)
+
+    def test_continuous_at_the_square_overflow(self):
+        below, above = 1.34e154, 1.35e154
+        assert math.isfinite(below * below)
+        assert mode_splitting(below) == pytest.approx(2.0 / below,
+                                                      rel=1e-15, abs=0)
+        assert mode_splitting(above) < mode_splitting(below)
+
 
 class TestCoalescenceThreshold:
     def test_frozen_values(self):
@@ -199,6 +211,20 @@ class TestPeakPositions:
     def test_no_mirror_rejected(self):
         with pytest.raises(InvalidParameterError):
             peak_positions(0.0, -10.0)
+
+    @pytest.mark.parametrize("zeta, zeta_m", [(-1e50, -1e100), (1e44, 1e88),
+                                              (-1e150, -5.0)])
+    def test_overflowing_cosines_refused(self, zeta, zeta_m):
+        # a NaN cosine must not clamp to -1, which puts both members at pi
+        with pytest.raises(InvalidParameterError, match="too strong"):
+            peak_positions(zeta, zeta_m)
+        with pytest.raises(InvalidParameterError, match="too strong"):
+            pair_center(zeta, zeta_m)
+
+    def test_strong_pair_below_the_overflow(self):
+        pair = peak_positions(-1e43, -1e86)
+        assert pair.k_even == pytest.approx(TWO_PI, rel=1e-15)
+        assert pair.k_odd == pytest.approx(TWO_PI, rel=1e-15)
 
     @given(st.floats(-200.0, 200.0))
     @settings(derandomize=True, max_examples=300)
@@ -341,6 +367,16 @@ class TestReport:
         assert rep.eps_minus is None
         assert rep.pair_gap is None
         assert rep.kappa > 0
+
+    def test_overflowing_pair_fields_absent(self):
+        rep = report(-1e50, -1e100)
+        assert rep.eps_plus is None and rep.eps_minus is None
+        assert rep.pair_gap is None
+        assert rep.kappa == pytest.approx(5e-101, rel=1e-15, abs=0)
+
+    def test_bad_pair_index_still_refused(self):
+        with pytest.raises(InvalidParameterError, match="pair index"):
+            report(-10.0, -196.6, 0)
 
 
 class TestOracleAgreementWithNumerics:

@@ -30,6 +30,7 @@ KAPPA = 4.975185951049945e-3
 G_M = 12.356807174693378
 GAP = 0.002115897419420383          # 2 sqrt(delta^2 - kappa^2)
 ENHANCEMENT = 4.7830467849337       # 2 zeta^2 / sqrt(star^2 - zeta_m^2)
+TWO_PI = 2.0 * math.pi
 
 
 def reference_params():
@@ -126,6 +127,10 @@ class TestTunnelingRate:
     def test_bad_omega(self):
         with pytest.raises(InvalidParameterError):
             tunneling_rate(-10.0, 0.0)
+
+    @pytest.mark.parametrize("zeta_m", [-1e155, 1e200, -1.7e308])
+    def test_overflowing_splitting_tends_to_two_omega(self, zeta_m):
+        assert tunneling_rate(zeta_m, 6.0) == pytest.approx(12.0, rel=1e-15)
 
 
 class TestBranchFrequencies:
@@ -247,6 +252,28 @@ class TestReadoutSensitivity:
         assert rep.x_small_bound == pytest.approx(8.561667223203581e-05,
                                                   rel=1e-10)
         assert rep.lamb_dicke_cap > rep.enhancement
+
+    @pytest.mark.parametrize("zeta", [-1e77, -1e100, -1e-160, -1e-170, 1e100])
+    def test_squares_that_under_or_overflow(self, zeta):
+        # zeta_m = zeta_m_star / 2: 2 zeta^2 / (|zeta_m_star| sqrt(3/4)),
+        # written so that no square under- or overflows
+        star = coalescence_threshold(zeta)
+        rep = readout_sensitivity(zeta, 0.5 * star, TWO_PI)
+        want = 2.0 * abs(zeta) / abs(star) * abs(zeta) / math.sqrt(0.75)
+        assert rep.enhancement == pytest.approx(want, rel=1e-14, abs=0)
+        # sqrt(delta^2 - kappa^2) / g_m, likewise; 0 where kappa > delta
+        _, delta, kappa, g_m = TwoModeParams.at(zeta, 0.5 * star, TWO_PI)
+        ratio = kappa / delta
+        gap = delta * math.sqrt(1.0 - ratio * ratio) if ratio < 1.0 else 0.0
+        assert rep.x_small_bound == pytest.approx(gap / g_m, rel=1e-14,
+                                                  abs=0)
+
+    @pytest.mark.parametrize("zeta", [-1e100, -1e-170])
+    def test_divergence_guard_without_squares(self, zeta):
+        star = coalescence_threshold(zeta)
+        for zm in (star, 1.5 * star, -star):
+            with pytest.raises(DivergentSensitivityError):
+                readout_sensitivity(zeta, zm, TWO_PI)
 
 
 class TestPhysicalEnhancement:
