@@ -368,10 +368,12 @@ def _emit(values, params, columns=None, record=None, annotations=None):
 
 
 def _system_from(values):
-    if values.get("zeta_m") is None:
-        return CavitySystem.empty(values["zeta"])
-    return CavitySystem.with_middle(values["zeta"], values["zeta_m"],
-                                    values.get("x", 0.0))
+    if values["zeta_m"] is not None:
+        return CavitySystem.with_middle(values["zeta"], values["zeta_m"],
+                                        values["x"])
+    if values["x"] != 0.0:   # also refuses NaN
+        raise InvalidParameterError(f"--x = {values['x']!r} needs --zeta-m")
+    return CavitySystem.empty(values["zeta"])
 
 
 def _cmd_spectrum(values):

@@ -18,9 +18,10 @@ Conventions fixed here (branch choices the formulas leave open):
   and the splitting decreases monotonically to 0 as |zeta_m| grows
   (identically equal to ``2*arctan(1/|zeta_m|)``);
 * the pulled-peak angles ``eps_plus``/``eps_minus`` are taken on the
-  principal arccos branch and both pair members are reported in the
-  same 2*n*pi period, ``k = 2*n*pi - eps``; the observable validated
-  against numerics is the pair gap ``|eps_minus - eps_plus|``.
+  principal arccos branch, and each member ``2*n*pi +- eps`` lies on the
+  side its tan(k/2) root's sign gives: the even member crosses 2*n*pi at
+  zeta_m = -2*zeta and 2*n*pi +- pi at 2*zeta/(1 + 4*zeta^2), so the
+  pair gap, the observable checked against numerics, can exceed pi.
 """
 
 from __future__ import annotations
@@ -177,16 +178,17 @@ def peak_positions(zeta, zeta_m, n=1):
                        +- (zeta + zeta_m) sqrt(4 zeta^2 (zeta^2+1) - zeta_m^2)]
                       / [2 zeta (zeta^2+1)(zeta_m^2 + 1)]
 
-    and reports both pair members in the same period,
-    ``k_even = 2 n pi - eps_minus`` and ``k_odd = 2 n pi - eps_plus``,
-    together with the gap |k_even - k_odd|.  Where zeta_m has the sign
-    opposite to zeta and |zeta_m| < 2 |zeta|, the even member lies on
-    the other side, ``k_even = 2 n pi + eps_minus``: it crosses 2 n pi at
-    zeta_m = -2 zeta, where cos(eps_minus) = 1.  For zeta > 0 the pair
-    is the mirror image at ``2 n pi + eps``: at x = 0, T_zeta(2 n pi + u)
-    = T_-zeta(2 n pi - u), and the cosines are even in (zeta, zeta_m).
-    Raises :class:`AboveThresholdError` when |zeta_m| exceeds the
-    coalescence threshold (negative discriminant), and
+    and reports ``k_even = 2 n pi +- eps_minus``, ``k_odd = 2 n pi +-
+    eps_plus`` and their gap.  Each sign is that of the member's root
+    t = tan(k/2) of the T = 1 quadratic a t^2 + 2 h t + c = 0, with
+    a = 2 zeta - zeta_m (1 + 4 zeta^2), h = 2 zeta (zeta + zeta_m) and
+    c = -(2 zeta + zeta_m) (Fan, Suh & Joannopoulos, JOSA A 20, 569
+    (2003)).  The odd root has zeta's sign, and the even one zeta a c's
+    (the product is c/a), so the even member crosses 2 n pi at zeta_m =
+    -2 zeta and 2 n pi +- pi at 2 zeta/(1 + 4 zeta^2), and lies on the
+    other side between the two: weak same-sign pairs lie more than pi
+    apart, which ``spectrum.track`` refuses.  Raises
+    :class:`AboveThresholdError` above the coalescence threshold, and
     :class:`InvalidParameterError` where the cosines overflow (|zeta| >~ 1e44).
     """
     z = _finite("zeta", zeta)
@@ -207,25 +209,24 @@ def peak_positions(zeta, zeta_m, n=1):
     base = zm * (2.0 * z * z + 1.0) * (z * zm - 1.0)
     cos_p = (base + (z + zm) * root) / den
     cos_m = (base - (z + zm) * root) / den
-    for c in (cos_p, cos_m):
-        if not math.isfinite(c):   # NaN would clamp to cos(eps) = -1
+    for cos in (cos_p, cos_m):
+        if not math.isfinite(cos):   # NaN would clamp to cos(eps) = -1
             raise _Overflow(
                 f"zeta = {z!r} is too strong: the pulled-peak cosine "
                 "overflows")
-        if abs(c) > 1.0 + 1e-12:
+        if abs(cos) > 1.0 + 1e-12:
             raise InternalConsistencyError(
-                f"cos(eps) = {c!r} outside [-1, 1]; broken branch choice")
+                f"cos(eps) = {cos!r} outside [-1, 1]; broken branch choice")
     eps_p = math.acos(min(1.0, max(-1.0, cos_p)))
     eps_m = math.acos(min(1.0, max(-1.0, cos_m)))
+    a = 2.0 * z - zm * (1.0 + 4.0 * z * z)
+    c = -(2.0 * z + zm)
+    s_odd = math.copysign(1.0, z)
+    s_even = s_odd * math.copysign(1.0, a) * math.copysign(1.0, c)
     period = 2.0 * int(n) * math.pi
-    side = math.copysign(1.0, z)
-    if z * zm < 0.0 and abs(zm) < 2.0 * abs(z):
-        # cos(eps_minus) = 1 at zeta_m = -2 zeta: the even member crosses
-        # 2 n pi there and sits on the other side for weaker zeta_m
-        return PairPeaks(k_even=period - side * eps_m,
-                         k_odd=period + side * eps_p, gap=eps_m + eps_p)
-    return PairPeaks(k_even=period + side * eps_m, k_odd=period + side * eps_p,
-                     gap=abs(eps_m - eps_p))
+    return PairPeaks(k_even=period + s_even * eps_m,
+                     k_odd=period + s_odd * eps_p,
+                     gap=abs(s_even * eps_m - s_odd * eps_p))
 
 
 def pair_center(zeta, zeta_m, n=1):

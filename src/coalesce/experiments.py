@@ -106,15 +106,12 @@ def track_resonance(zeta, zeta_m, x_values: Sequence, pair_index=1):
     """Follow the resonant peak of one pair across displacements.
 
     The one :func:`~coalesce.spectrum.track` member is seeded with the
-    pair member at x = 0 closest to the bare even resonance (closed
-    form).  Returns one :class:`~coalesce.spectrum.ResonancePeak` per x,
-    in input order.
+    closed-form odd member at x = 0, which the tan(k/2) side rule keeps
+    nearest the bare resonance across both crossings of the even one.
+    Returns one :class:`~coalesce.spectrum.ResonancePeak` per x.
     """
     xs = spectrum.displacements(x_values)
-    pair = closed_form.peak_positions(zeta, zeta_m, pair_index)
-    # for zeta > 0 the even resonance near 2*n*pi has mode index 2n + 1
-    bare = closed_form.bare_resonance(2 * pair_index + (zeta > 0), zeta)
-    k0 = min((pair.k_even, pair.k_odd), key=lambda k: abs(k - bare))
+    k0 = closed_form.peak_positions(zeta, zeta_m, pair_index).k_odd
     return [peak for (peak,) in spectrum.track(zeta, zeta_m, xs,
                                                seeds=(k0,))]
 

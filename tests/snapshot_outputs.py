@@ -93,6 +93,13 @@ COMMANDS = (
                             ("-1e-170", "-1e-170"))]
     + [("splitting", "--zeta-m=-1e200"),
        ("report", "--zeta=-1e50", "--zeta-m=-1e100")]
+    # weak same-sign pairs, whose even member lies on the far side of
+    # 2 n pi, and --x with no element to move
+    + [("report", "--zeta-m=0"), ("sensitivity", "--zeta-m=0"),
+       ("report", "--zeta=-1.5", "--zeta-m=-0.1"),
+       ("branches", "--zeta-m=0", "--xpoints=3"),
+       ("branches", "--zeta=-1.5", "--zeta-m=-0.1", "--xpoints=3"),
+       ("peaks", "--x=0.6")]
     # one command per error token the CLI can reach, and a usage error
     + [
         ("threshold", "--config", "missing.cfg"),

@@ -434,6 +434,22 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err.startswith("error[invalid-parameter]:")
 
+    @pytest.mark.parametrize("command", ["spectrum", "peaks"])
+    @pytest.mark.parametrize("x", ["0.6", "1e-3", "nan"])
+    def test_displacement_needs_a_middle_element(self, capsys, command, x):
+        # the empty cavity has no element for --x to move
+        code, out, err = run_cli(capsys, command, f"--x={x}")
+        assert code == 3 and out == ""
+        assert err.startswith("error[invalid-parameter]:")
+        assert "--zeta-m" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "peaks"])
+    def test_zero_displacement_runs_without_a_middle_element(self, capsys,
+                                                              command):
+        code, out, err = run_cli(capsys, command, "--x=0")
+        assert code == 0 and err == ""
+        assert "# x = 0.0\n" in out
+
     def test_truncated_width_is_nan(self, capsys):
         # weak mirrors: the peak near 1.86 does not fall to half height
         # within pi/2, so its width is nan and the command succeeds

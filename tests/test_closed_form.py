@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coalesce import (
@@ -28,12 +28,20 @@ from coalesce import (
     peak_positions,
     report,
     resonant_transmission,
+    transmission,
 )
 from coalesce import closed_form
 from coalesce.closed_form import _lossless_condition
 from reference_peaks import tight_peaks
 
 TWO_PI = 2.0 * math.pi
+
+
+def member_heights(zeta, zeta_m, n=1):
+    """T of the kernel at both closed-form pair members, even first."""
+    pair = peak_positions(zeta, zeta_m, n)
+    system = CavitySystem.with_middle(zeta, zeta_m)
+    return transmission(system, pair.k_even), transmission(system, pair.k_odd)
 
 
 class TestBareResonance:
@@ -235,6 +243,27 @@ class TestPeakPositions:
         disc = 4 * zeta ** 2 * (zeta ** 2 + 1) - zeta_m ** 2
         assert (abs(zeta_m) <= abs(star)) == (disc >= 0.0)
 
+    @pytest.mark.parametrize("zeta, zeta_m", [
+        (-10.0, 0.0), (-10.0, -0.01), (-1.5, -0.1), (-0.5, -0.3),
+        (1.069222425988839, 0.18411893056257214)])
+    def test_weak_same_sign_members_are_peaks(self, zeta, zeta_m):
+        # the even member's tan(k/2) root changes sign at zeta_m =
+        # 2 zeta/(1 + 4 zeta^2), not only at -2 zeta: a member put on
+        # the wrong side of 2 pi reads T = 6.3e-4 at (-10, 0)
+        assert min(member_heights(zeta, zeta_m)) >= 1.0 - 1e-9
+
+    @given(st.sampled_from((-1.0, 1.0)), st.floats(-1.0, 3.0),
+           st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           st.integers(1, 3))
+    @example(-1.0, 1.0, 0.0, 1)
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    def test_both_members_are_peaks_below_threshold(self, sign, decade,
+                                                    fraction, n):
+        # zeta in +-[0.1, 1e3], |zeta_m| < |zeta_m_star|, zeta_m = 0 too
+        zeta = sign * 10.0 ** decade
+        zeta_m = fraction * coalescence_threshold(zeta)
+        assert min(member_heights(zeta, zeta_m, n)) >= 1.0 - 1e-9
+
     def test_pair_center_midpoint(self):
         pair = peak_positions(-10.0, -196.6)
         assert pair_center(-10.0, -196.6) == pytest.approx(
@@ -374,6 +403,10 @@ class TestReport:
         assert rep.pair_gap is None
         assert rep.kappa == pytest.approx(5e-101, rel=1e-15, abs=0)
 
+    def test_transparent_middle_gap_is_the_bare_splitting(self):
+        # zeta_m = 0: the pair is two bare resonances, pi apart
+        assert report(-10.0, 0.0).pair_gap == mode_splitting(0.0)
+
     def test_bad_pair_index_still_refused(self):
         with pytest.raises(InvalidParameterError, match="pair index"):
             report(-10.0, -196.6, 0)
@@ -432,6 +465,22 @@ class TestOracleAgreementWithNumerics:
         assert (inner - TWO_PI) * (outer - TWO_PI) < 0.0
         assert abs(inner - TWO_PI) == pytest.approx(abs(outer - TWO_PI),
                                                     rel=0.01)
+
+    @pytest.mark.parametrize("zeta", [-10.0, 10.0])
+    def test_even_member_passes_pi_at_the_same_sign_crossing(self, zeta):
+        # a = 0 at zeta_m = 2 zeta/(1 + 4 zeta^2): the even member's
+        # tan(k/2) root passes infinity, 2 pi +- pi, and changes side;
+        # T has period 2 pi in k at x = 0, so both sides are peaks
+        cross = 2.0 * zeta / (1.0 + 4.0 * zeta * zeta)
+        inner = peak_positions(zeta, cross * (1.0 - 1e-3)).k_even
+        outer = peak_positions(zeta, cross * (1.0 + 1e-3)).k_even
+        assert abs(peak_positions(zeta, cross).k_even - TWO_PI) == \
+            pytest.approx(math.pi, rel=1e-8)
+        assert (inner - TWO_PI) * (outer - TWO_PI) < 0.0
+        assert abs(inner - TWO_PI) == pytest.approx(abs(outer - TWO_PI),
+                                                    rel=1e-4)
+        for zeta_m in (cross * (1.0 - 1e-3), cross, cross * (1.0 + 1e-3)):
+            assert min(member_heights(zeta, zeta_m)) >= 1.0 - 1e-9
 
     def test_bare_resonance_matches_refined_peak(self):
         from coalesce import find_peaks
