@@ -35,6 +35,7 @@ from .errors import (
     InvalidParameterError,
     NotBracketedError,
     finite as _finite,
+    integer as _integer,
 )
 
 __all__ = [
@@ -102,10 +103,9 @@ def bare_resonance(n, zeta):
     omega_n = (n-1)*pi + arccos(zeta/sqrt(1+zeta^2)) for mode index
     n >= 1; tends to n*pi as zeta -> -inf.
     """
-    if int(n) != n or n < 1:
-        raise InvalidParameterError(f"mode index must be an integer >= 1, got {n}")
+    n = _integer("mode index", n, 1)
     z = _finite("zeta", zeta)
-    return (int(n) - 1) * math.pi + math.acos(z / math.hypot(z, 1.0))
+    return (n - 1) * math.pi + math.acos(z / math.hypot(z, 1.0))
 
 
 def _two_zeta_root(z):
@@ -195,8 +195,7 @@ def peak_positions(zeta, zeta_m, n=1):
     zm = _finite("zeta_m", zeta_m)
     if z == 0.0:
         raise InvalidParameterError("zeta = 0 has no cavity resonances")
-    if int(n) != n or n < 1:
-        raise InvalidParameterError(f"pair index must be an integer >= 1, got {n}")
+    n = _integer("pair index", n, 1)
     disc = 4.0 * z * z * (z * z + 1.0) - zm * zm
     # exact-threshold inputs can land at -O(eps); anything beyond is
     # genuinely above threshold
@@ -223,7 +222,7 @@ def peak_positions(zeta, zeta_m, n=1):
     c = -(2.0 * z + zm)
     s_odd = math.copysign(1.0, z)
     s_even = s_odd * math.copysign(1.0, a) * math.copysign(1.0, c)
-    period = 2.0 * int(n) * math.pi
+    period = 2.0 * n * math.pi
     return PairPeaks(k_even=period + s_even * eps_m,
                      k_odd=period + s_odd * eps_p,
                      gap=abs(s_even * eps_m - s_odd * eps_p))
@@ -250,7 +249,7 @@ def resonant_transmission(x, zeta_m, k):
         raise InvalidParameterError(f"|x| must be < 1/4, got {xv}")
     if kv <= 0:
         raise InvalidParameterError(f"k must be > 0, got {kv}")
-    s = zm * math.sin(2.0 * kv * xv)
+    s = zm * math.sin(2.0 * (kv * xv))   # |x| < 1/4: kv * xv cannot overflow
     return 1.0 / (1.0 + s * s)
 
 
@@ -276,15 +275,15 @@ def lossless_eigenmodes(zeta_m, x, bracket):
 
     Solves cot(k*a) + cot(k*b) = 2*zeta_m with a = 1/2 + x, b = 1/2 - x
     by :func:`newton` to 1e-12, with the analytic slope.  ``bracket``
-    must contain exactly one root and no pole of the cotangents; at
-    x = 0 the condition reduces to cot(k/2) = zeta_m.
+    must lie in k > 0 and contain exactly one root and no pole of the
+    cotangents; at x = 0 the condition reduces to cot(k/2) = zeta_m.
     """
     zm = _finite("zeta_m", zeta_m)
     xv = _finite("x", x)
     if not abs(xv) < 0.5:
         raise InvalidParameterError(f"|x| must be < 1/2, got {xv}")
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise InvalidParameterError(f"bad bracket {bracket!r}")
     f = _lossless_condition(zm, xv)
     root = newton(f, lo, 0.5 * (lo + hi), hi, 1e-12)
@@ -306,13 +305,18 @@ def lossless_pair(zeta_m, x, n=1):
     x != 0 both follow from the transcendental condition, bracketed
     between adjacent cotangent poles within 2 of either x = 0 position:
     the root nearest 2*n*pi and, of the others, the one nearest the
-    shifted position.
+    shifted position.  Raises :class:`InvalidParameterError` unless
+    |x| < 1/2 and 2*n*pi is a finite float.
     """
     zm = _finite("zeta_m", zeta_m)
     xv = _finite("x", x)
-    if int(n) != n or n < 1:
-        raise InvalidParameterError(f"pair index must be an integer >= 1, got {n}")
-    target = 2.0 * int(n) * math.pi
+    if not abs(xv) < 0.5:
+        raise InvalidParameterError(f"|x| must be < 1/2, got {xv}")
+    n = _integer("pair index", n, 1)
+    target = 2.0 * n * math.pi
+    if not math.isfinite(target):
+        raise InvalidParameterError(
+            f"pair index {n} is too large: 2*n*pi overflows")
     split = mode_splitting(zm)
     shifted = target + split if zm > 0.0 else target - split
     if abs(xv) < 1e-9:
@@ -350,10 +354,7 @@ def multilayer_threshold(zeta, n_layers):
     keeps dropping with each added layer.
     """
     z = _finite("zeta", zeta)
-    if int(n_layers) != n_layers or n_layers < 2:
-        raise InvalidParameterError(
-            f"layer count must be an integer >= 2, got {n_layers}")
-    n = int(n_layers)
+    n = _integer("layer count", n_layers, 2)
     square = z * z
     if not math.isfinite(square):
         raise InvalidParameterError(

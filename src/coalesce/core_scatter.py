@@ -20,8 +20,9 @@ and a single scatterer has |t|^2 = 1/(1 + zeta^2),
 Every such matrix is unimodular (det = 1) and carries the lossless
 structure m11 = conj(m22), m12 = conj(m21), which implies
 |m22|^2 = 1 + |m21|^2 exactly.  Products are therefore carried as the
-pair (a, b) = (m11, m12) alone, as Python complex numbers for a scalar
-wavenumber and numpy arrays otherwise.  :func:`transmission` exploits the
+pair (a, b) = (m11, m12) alone, by one walk over the hops: on Python
+complex numbers for a scalar wavenumber and on numpy arrays otherwise,
+with the same statements.  :func:`transmission` exploits the
 identity and evaluates T = 1/(1 + |m21|^2), equal to 1/|m22|^2 but
 accurate (and <= 1) where that would cancel between large entries, in
 blocks of ``_BLOCK`` wavenumbers that bound the temporaries and change
@@ -198,35 +199,23 @@ def _compose(zeta_first, hops, k):
     """Entries (a, b) of the lossless product [[a, b], [b*, a*]].
 
     Starts from the scatterer ``zeta_first`` and applies each hop
-    ``(d, zeta)``: propagate by ``d``, then scatter by ``zeta``.  A float
-    ``k`` runs on Python complex numbers, an array ``k`` on five buffers
-    of its shape.  numpy's complex product does not commute bit for bit,
-    and rounds otherwise on one point written over an operand, so each
-    product keeps its operand order and goes to a free buffer.
-    Consecutive equal gaps reuse their phase factor.
+    ``(d, zeta)``: propagate by ``d``, then scatter by ``zeta``.  One
+    walk serves both kinds of ``k``: a float runs it on Python complex
+    numbers with ``cmath.exp``, an array on arrays of its shape with
+    ``numpy.exp``.  Consecutive equal gaps reuse their phase factor.
     """
     a, b = 1.0 + 1j * zeta_first, 1j * zeta_first
     d_prev, exp = None, cmath.exp
-    if isinstance(k, float):
-        for d, zeta in hops:
-            if d != d_prev:
-                e, d_prev = exp(1j * (k * d)), d
-            a, b = e * a, e * b
-            u = a + b.conjugate()
-            a, b = a + 1j * zeta * u, b + 1j * zeta * u.conjugate()
-        return a, b
-    import numpy as np
+    if not isinstance(k, float):
+        import numpy as np
 
-    a, b = np.full(k.shape, a), np.full(k.shape, b)
-    e, u, t = (np.empty(k.shape, complex) for _ in range(3))
+        exp, a, b = np.exp, np.full(k.shape, a), np.full(k.shape, b)
     for d, zeta in hops:
         if d != d_prev:
-            e, d_prev = np.exp(np.multiply(1j, k * d, out=t), out=e), d
-        a, t = np.multiply(e, a, out=t), a
-        b, t = np.multiply(e, b, out=t), b
-        np.add(a, np.conjugate(b, out=u), out=u)
-        a += np.multiply(1j * zeta, u, out=t)
-        b += np.multiply(1j * zeta, np.conjugate(u, out=u), out=t)
+            e, d_prev = exp(1j * (k * d)), d
+        a, b = e * a, e * b
+        u = a + b.conjugate()
+        a, b = a + 1j * zeta * u, b + 1j * zeta * u.conjugate()
     return a, b
 
 

@@ -23,11 +23,26 @@ class InvalidParameterError(CoalescenceError, ValueError):
 
 
 def finite(name, value):
-    """``value`` as a float, or :class:`InvalidParameterError` if not finite."""
-    v = float(value)
+    """``value`` as a float, or :class:`InvalidParameterError` if not
+    finite; an int too large for a float is not."""
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
     if not math.isfinite(v):
         raise InvalidParameterError(f"{name} must be finite, got {value!r}")
     return v
+
+
+def integer(what, value, least):
+    """``value`` as an int, or :class:`InvalidParameterError` unless it is
+    a finite integer >= ``least``."""
+    finite(what, value)   # NaN, inf and ints past a float
+    n = int(value)
+    if n != value or n < least:
+        raise InvalidParameterError(
+            f"{what} must be an integer >= {least}, got {value}")
+    return n
 
 
 class AboveThresholdError(CoalescenceError):

@@ -42,6 +42,8 @@ from .errors import (
     InvalidParameterError,
     NotBracketedError,
     PairIdentificationError,
+    finite,
+    integer,
 )
 
 __all__ = [
@@ -84,12 +86,13 @@ def sample_transmission(system: CavitySystem, k_min, k_max, n_points):
     ``(ks, ts)`` are lists of floats for a grid within
     :data:`core_scatter.SCALAR_GRID_WORK`, else numpy arrays; the
     wavenumbers are those of ``numpy.linspace`` either way, and the
-    CLI's ``spectrum`` prints them.
+    CLI's ``spectrum`` prints them.  ``n_points`` is an integer from 2
+    to ``_MAX_GRID_POINTS``.
     """
     k_min, k_max = _window(k_min, k_max)
-    n = int(n_points)
-    if n < 2:
+    if n_points < 2:
         raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
+    n = integer("n_points", n_points, 2)
     if n > _MAX_GRID_POINTS:
         raise InvalidParameterError(f"n_points {n} exceeds {_MAX_GRID_POINTS}")
     ks = grid(k_min, k_max, n, len(system.elements) + 1)
@@ -168,8 +171,9 @@ def _grid_points(system, k_min, k_max, grid_per_kappa):
         raise InvalidParameterError(
             "peak search needs reflective end mirrors (zeta_end != 0)")
     kappa = closed_form.bare_linewidth(system.zeta_end)
-    step = kappa / float(grid_per_kappa)
-    n = max(int(math.ceil((k_max - k_min) / step)) + 1, 32)
+    step = kappa / finite("grid_per_kappa", grid_per_kappa)
+    count = (k_max - k_min) / step   # inf where the step underflows
+    n = max(math.ceil(count) + 1, 32) if math.isfinite(count) else count
     if n > _MAX_GRID_POINTS:
         raise InvalidParameterError(
             f"window needs {n} grid points (> {_MAX_GRID_POINTS}); "
@@ -187,7 +191,8 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50):
     k_min, k_max : float
         Search window, 0 < k_min < k_max.
     grid_per_kappa : int
-        Grid points per linewidth (>= 10, so the step is <= kappa/10).
+        Grid points per linewidth: a finite number >= 10, so the step is
+        <= kappa/10.
 
     Returns
     -------
@@ -200,7 +205,7 @@ def find_peaks(system: CavitySystem, k_min, k_max, grid_per_kappa=50):
     :class:`NotBracketedError` when a refinement does not converge.
     """
     k_min, k_max = _window(k_min, k_max)
-    if grid_per_kappa < 10:
+    if not grid_per_kappa >= 10:   # also NaN
         raise InvalidParameterError(
             f"grid_per_kappa must be >= 10, got {grid_per_kappa}")
     n = _grid_points(system, k_min, k_max, grid_per_kappa)
@@ -369,7 +374,8 @@ def track(zeta, zeta_m, x_values: Sequence, seeds=None, window=None):
             raise InvalidParameterError(
                 f"seeds must be one or two finite peaks, got {seeds!r}")
         members = len(start)
-    n = max(1, round(0.5 * (start[0] + start[-1]) / (2.0 * math.pi)))
+    # halves first: the sum of two seeds past half the largest float is inf
+    n = max(1, round((0.5 * start[0] + 0.5 * start[-1]) / (2.0 * math.pi)))
     model = two_mode.TwoModeParams.at(zeta, zeta_m,
                                       _pair_center(zeta, zeta_m, n))
     previous, before = start, 0.0
@@ -420,13 +426,13 @@ def find_merge_point(zeta, zeta_m_range: Tuple, pair_index=1):
     end.  No grid is searched.  Raises :class:`NotBracketedError` when
     the range does not straddle the merge.
     """
+    kappa = closed_form.bare_linewidth(zeta)
     a, b = float(zeta_m_range[0]), float(zeta_m_range[1])
     # signs, not a product a * b that can underflow
     if not (math.isfinite(a) and math.isfinite(b)
             and (min(a, b) > 0.0 or max(a, b) < 0.0)):
         raise InvalidParameterError(
             f"zeta_m_range must be two same-sign values, got {zeta_m_range!r}")
-    kappa = closed_form.bare_linewidth(zeta)
 
     def curvature(zm):
         """s'' at the stationary point of s between the pair's peaks."""

@@ -100,6 +100,16 @@ COMMANDS = (
        ("branches", "--zeta-m=0", "--xpoints=3"),
        ("branches", "--zeta=-1.5", "--zeta-m=-0.1", "--xpoints=3"),
        ("peaks", "--x=0.6")]
+    # point counts and indices past a float, and a merge search at
+    # zeta = 0, whose default range is (0.0, 0.0)
+    + [(command, "--kmin=3", "--kmax=1e308") for command in ("peaks",
+                                                           "branches")]
+    + [("peaks", f"--grid-per-kappa={10**308}"),
+       ("peaks", f"--grid-per-kappa={10**400}")]
+    + [(command, f"--pair-index={10**400}")
+       for command in ("report", "sensitivity", "branches")]
+    + [("threshold", "--numeric", "--zeta=0"),
+       ("figures", "threshold-sweep", "--zeta=0")]
     # one command per error token the CLI can reach, and a usage error
     + [
         ("threshold", "--config", "missing.cfg"),
@@ -120,8 +130,14 @@ _TRACKERS = {"fig2", "fig3", "threshold-sweep", "branches", "sweep-x"}
 
 
 def _name(argv):
-    """The file stem of a command: its arguments, joined and made safe."""
-    return re.sub(r"[^A-Za-z0-9.=+-]", "_", "_".join(argv))
+    """The file stem of a command: its arguments, joined and made safe.
+
+    A run of more than 24 digits reads ``<count>digits``, so that an
+    integer past a float keeps the stem within a file name's length.
+    """
+    stem = re.sub(r"\d{25,}", lambda m: f"{len(m.group())}digits",
+                  "_".join(argv))
+    return re.sub(r"[^A-Za-z0-9.=+-]", "_", stem)
 
 
 def write(directory, commands=COMMANDS):

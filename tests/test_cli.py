@@ -642,6 +642,39 @@ class TestExtremePolarizabilities:
         assert "too strong" in err
 
 
+class TestOverflowingCounts:
+    """Point counts and indices past a float are refused, not crashed on."""
+
+    @pytest.mark.parametrize("argv", [
+        ("peaks", "--kmin=3", "--kmax=1e308"),
+        ("branches", "--kmin=3", "--kmax=1e308"),
+        ("peaks", "--grid-per-kappa=10**308"),
+        ("peaks", "--grid-per-kappa=10**400"),
+        ("report", "--pair-index=10**400"),
+        ("sensitivity", "--pair-index=10**400"),
+        ("branches", "--pair-index=10**400"),
+    ], ids=" ".join)
+    def test_exits_3_invalid_parameter(self, capsys, argv):
+        # argparse reads decimal integers: spell the powers out
+        code, out, err = run_cli(capsys, *(
+            re.sub(r"10\*\*(\d+)", lambda m: "1" + "0" * int(m[1]), arg)
+            for arg in argv))
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error[invalid-parameter]:")
+
+    @pytest.mark.parametrize("argv", [
+        ("threshold", "--numeric", "--zeta=0"),
+        ("figures", "threshold-sweep", "--zeta=0"),
+    ], ids=" ".join)
+    def test_zero_mirror_merge_names_zeta(self, capsys, argv):
+        # the default range is 0.75 and 1.25 times zeta_m_star = 0
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == ("error[invalid-parameter]: zeta = 0 has no "
+                       "resonances (no mirrors)\n")
+
+
 class TestNegativeNumbers:
     @pytest.mark.parametrize("text", ["-1e3", "-1E-2", "-.5"])
     def test_both_spellings_parse(self, capsys, text):

@@ -30,7 +30,7 @@ from coalesce import (
     resonant_transmission,
     transmission,
 )
-from coalesce import closed_form
+from coalesce import closed_form, errors
 from coalesce.closed_form import _lossless_condition
 from reference_peaks import tight_peaks
 
@@ -66,6 +66,59 @@ class TestBareResonance:
             bare_resonance(0, -10.0)
         with pytest.raises(InvalidParameterError):
             bare_resonance(1.5, -10.0)
+
+
+# each closed form with an integer argument: its call, and the name
+# and least value its refusal gives
+INDEXED = {
+    "bare_resonance": (lambda n: bare_resonance(n, -10.0), "mode index", 1),
+    "peak_positions": (lambda n: peak_positions(-10.0, -50.0, n),
+                       "pair index", 1),
+    "pair_center": (lambda n: pair_center(-10.0, -50.0, n), "pair index", 1),
+    "report": (lambda n: report(-10.0, -50.0, n), "pair index", 1),
+    "lossless_pair": (lambda n: lossless_pair(-50.0, 0.01, n),
+                      "pair index", 1),
+    "multilayer_threshold": (lambda n: multilayer_threshold(-10.0, n),
+                             "layer count", 2),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("value", [0, -1, 1.5, "2"], ids=repr)
+    @pytest.mark.parametrize("name", sorted(INDEXED))
+    def test_messages_kept(self, name, value):
+        call, what, least = INDEXED[name]
+        with pytest.raises(InvalidParameterError) as info:
+            call(value)
+        assert str(info.value) == \
+            f"{what} must be an integer >= {least}, got {value}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
+    @pytest.mark.parametrize("name", sorted(INDEXED))
+    def test_non_finite_refused(self, name, value):
+        # int(n) != n raised ValueError for NaN and OverflowError for
+        # inf; 10**400 passed it and overflowed later
+        call, what, _ = INDEXED[name]
+        with pytest.raises(InvalidParameterError) as info:
+            call(value)
+        assert str(info.value) == f"{what} must be finite, got {value!r}"
+
+    @pytest.mark.parametrize("name", sorted(INDEXED))
+    def test_integral_float_and_bool_are_integers(self, name):
+        call, _, least = INDEXED[name]
+        assert call(float(least + 1)) == call(least + 1)
+        if least == 1:
+            assert call(True) == call(1)
+
+    def test_integer_check(self):
+        assert errors.integer("n", 3.0, 2) == 3
+        assert type(errors.integer("n", True, 1)) is int
+        assert errors.integer("n", 10**300 + 1, 1) == 10**300 + 1
+        with pytest.raises(InvalidParameterError,
+                           match="^n must be an integer >= 2, got 1$"):
+            errors.integer("n", 1, 2)
 
 
 class TestBareLinewidth:
@@ -289,6 +342,13 @@ class TestResonantTransmission:
         with pytest.raises(InvalidParameterError):
             resonant_transmission(0.0, -5.0, -1.0)
 
+    def test_phase_at_the_largest_wavenumbers(self):
+        # 2 k overflowed to inf before the product with x: sin(-inf)
+        assert resonant_transmission(-1e-320, 0.25, 1e308) == 1.0
+        # |k x| < k / 4 stays finite: 2 k x = 2 * 0.2 * 1.7e308 = 6.8e307
+        s = 0.25 * math.sin(2.0 * (1.7e308 * 0.2))
+        assert resonant_transmission(0.2, 0.25, 1.7e308) == 1.0 / (1.0 + s * s)
+
     def test_matches_full_numerics_loosely(self):
         # tracked-peak height vs the displacement formula at zeta_m = -5
         from coalesce.experiments import track_resonance
@@ -320,6 +380,23 @@ class TestLosslessEigenmodes:
     def test_not_bracketed(self):
         with pytest.raises(NotBracketedError):
             lossless_eigenmodes(-50.0, 0.0, (4.0, 5.0))
+
+    @pytest.mark.parametrize("bracket", [(-1.0, 1.0), (0.0, 1.0),
+                                         (-2.0, -1.0)])
+    def test_bracket_of_no_wavenumbers_refused(self, bracket):
+        # (-1, 1) divided by sin(0) at k = 0
+        with pytest.raises(InvalidParameterError, match="bad bracket"):
+            lossless_eigenmodes(-1.0, 0.0, bracket)
+
+    @pytest.mark.parametrize("x", [0.5, -0.7, 1e308])
+    def test_pair_displacement_inside_the_cavity(self, x):
+        with pytest.raises(InvalidParameterError, match="must be < 1/2"):
+            lossless_pair(-50.0, x)
+
+    def test_pair_index_past_a_float_refused(self):
+        # 2 n pi overflows to inf: int(inf) raised OverflowError
+        with pytest.raises(InvalidParameterError, match="2\\*n\\*pi overflows"):
+            lossless_pair(-50.0, 0.01, 1e308)
 
     def test_pole_bracket_rejected(self):
         # sign change across the cotangent pole at 2 pi is not a root

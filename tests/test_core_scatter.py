@@ -216,6 +216,59 @@ class TestTransmission:
             transmission(CavitySystem.empty(-10.0), [6.0, bad])
 
 
+# systems whose mirror-to-mirror walks have one hop, two equal gaps
+# (x = 0), two unequal gaps and four gaps (a three-element stack)
+WALKS = {
+    "one hop": CavitySystem.empty(-10.0),
+    "equal gaps": CavitySystem.with_middle(-10.0, -196.6),
+    "unequal gaps": CavitySystem.with_middle(-10.0, -196.6, 0.01),
+    "three elements": CavitySystem(-10.0, ((0.2, -3.0), (0.45, -50.0),
+                                           (0.8, -7.0))),
+}
+
+
+class TestOneWalk:
+    """An array k walks the hops of _compose as a float k does, point by
+    point; numpy's complex products may round apart from Python's."""
+
+    SHAPES = [(60,), (6, 10)]
+
+    @staticmethod
+    def wavenumbers(shape):
+        return np.linspace(5.9, 6.6, math.prod(shape)).reshape(shape)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("hops", [()] + [s._hops for s in WALKS.values()],
+                             ids=["no hop", *WALKS])
+    def test_entries_match_the_float_walk(self, hops, shape):
+        k = self.wavenumbers(shape)
+        a, b = core_scatter._compose(-10.0, hops, k)
+        assert a.shape == b.shape == shape
+        walked = [core_scatter._compose(-10.0, hops, v) for v in k.flat]
+        for got, want in ((a, [p[0] for p in walked]),
+                          (b, [p[1] for p in walked])):
+            np.testing.assert_allclose(got.ravel(), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("name", list(WALKS))
+    def test_transmission_and_reflection_match(self, name, shape):
+        system, k = WALKS[name], self.wavenumbers(shape)
+        ts, rs = transmission(system, k), reflection_amplitude(system, k)
+        assert ts.shape == rs.shape == shape
+        np.testing.assert_allclose(
+            ts.ravel(), [transmission(system, v) for v in k.flat],
+            rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            rs.ravel(), [reflection_amplitude(system, v) for v in k.flat],
+            rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_no_hop_keeps_the_shape(self, shape):
+        k = self.wavenumbers(shape)
+        got = effective_polarizability([(0.5, -3.0)], k)
+        assert got.shape == shape and np.all(got == 3.0)
+
+
 class TestGrid:
     @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_scalar_kernel_up_to_the_bound(self, hops):

@@ -1,14 +1,20 @@
 """The package namespace: lazy re-exports, `__all__`, `dir` and `import *`;
-the immutability of the package's records."""
+the immutability of the package's records; the typed errors of its
+entry points."""
 
 import importlib
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coalesce
+from coalesce import closed_form, core_scatter, spectrum
 
 # defining module -> the names the package re-exports from it
 EXPORTED = {
@@ -152,3 +158,86 @@ def test_record_fields_refuse_assignment(name):
         with pytest.raises(AttributeError):
             setattr(record, field, 1.0)
         assert getattr(record, field) == before
+
+
+# the values each argument of an entry point may take in place of its
+# ordinary one
+SPECIAL = (0.0, math.inf, -math.inf, math.nan, 1e308, 1e-320, 2.5, True)
+middle = core_scatter.CavitySystem.with_middle
+# entry point -> (a call of it on flat arguments, their ordinary values)
+ENTRY_POINTS = {
+    "bare_resonance": (closed_form.bare_resonance, (1, -10.0)),
+    "bare_linewidth": (closed_form.bare_linewidth, (-10.0,)),
+    "mode_splitting": (closed_form.mode_splitting, (-50.0,)),
+    "coalescence_threshold": (closed_form.coalescence_threshold, (-10.0,)),
+    "peak_positions": (closed_form.peak_positions, (-10.0, -50.0, 1)),
+    "pair_center": (closed_form.pair_center, (-10.0, -50.0, 1)),
+    "resonant_transmission": (closed_form.resonant_transmission,
+                              (0.01, -50.0, 6.2)),
+    "lossless_eigenmodes": (
+        lambda zm, x, lo, hi: closed_form.lossless_eigenmodes(zm, x, (lo, hi)),
+        (-50.0, 0.0, 5.9, 6.28)),
+    "lossless_pair": (closed_form.lossless_pair, (-50.0, 0.01, 1)),
+    "multilayer_threshold": (closed_form.multilayer_threshold, (-10.0, 3)),
+    "report": (closed_form.report, (-10.0, -50.0, 1)),
+    "sample_transmission": (
+        lambda z, zm, x, lo, hi, n: spectrum.sample_transmission(
+            middle(z, zm, x), lo, hi, n),
+        (-10.0, -50.0, 0.01, 5.8, 6.4, 101)),
+    "find_peaks": (
+        lambda z, zm, x, lo, hi, g: spectrum.find_peaks(
+            middle(z, zm, x), lo, hi, g),
+        (-10.0, -50.0, 0.01, 6.0, 6.4, 50)),
+    "peak_halfwidth": (
+        lambda z, zm, k, t: spectrum.peak_halfwidth(
+            middle(z, zm), spectrum.ResonancePeak(k, t)),
+        (-10.0, -50.0, 6.18, 0.9)),
+    "displacements": (lambda x: spectrum.displacements([x]), (0.01,)),
+    "track seeds": (
+        lambda z, zm, x, k: spectrum.track(z, zm, [x], seeds=(k,)),
+        (-10.0, -50.0, 0.01, 6.18)),
+    "track window": (
+        lambda z, zm, x, lo, hi: spectrum.track(z, zm, [x], window=(lo, hi)),
+        (-10.0, -50.0, 0.01, 6.0, 6.4)),
+    "find_merge_point": (
+        lambda z, a, b, n: spectrum.find_merge_point(z, (a, b), n),
+        (-10.0, -150.0, -250.0, 1)),
+    "linspace": (lambda a, b: spectrum.linspace(a, b, 3), (0.0, 1.0)),
+    "CavitySystem": (
+        lambda z, p, zm: core_scatter.CavitySystem(z, ((p, zm),)),
+        (-10.0, 0.5, -50.0)),
+    "with_middle": (middle, (-10.0, -50.0, 0.01)),
+    "transmission": (
+        lambda z, zm, k: core_scatter.transmission(middle(z, zm), k),
+        (-10.0, -50.0, 6.2)),
+    "transmission of a list": (
+        lambda z, zm, k: core_scatter.transmission(middle(z, zm), [6.0, k]),
+        (-10.0, -50.0, 6.2)),
+    "s_derivatives": (
+        lambda z, zm, k: core_scatter.s_derivatives(middle(z, zm), k),
+        (-10.0, -50.0, 6.2)),
+    "reflection_amplitude": (
+        lambda z, zm, k: core_scatter.reflection_amplitude(middle(z, zm), k),
+        (-10.0, -50.0, 6.2)),
+    "effective_polarizability": (
+        lambda p, z, k: core_scatter.effective_polarizability(
+            [(p, z), (p + 0.3, z)], k),
+        (0.1, -3.0, 6.2)),
+    "maximize_stack_polarizability": (
+        core_scatter.maximize_stack_polarizability, (-3.0, 3, 6.2)),
+}
+
+
+@given(st.sampled_from(sorted(ENTRY_POINTS)), st.data())
+@settings(derandomize=True, max_examples=1000, deadline=None)
+def test_only_typed_errors_escape(name, data):
+    call, ordinary = ENTRY_POINTS[name]
+    args = [data.draw(st.sampled_from((value, *SPECIAL)))
+            for value in ordinary]
+    # an array entry that overflows warns as numpy does; the float walk
+    # overflows silently, and neither is an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            call(*args)
+        except coalesce.CoalescenceError:
+            pass

@@ -116,6 +116,27 @@ class TestSampleTransmission:
             ks_b, ts_b = spectrum.sample_transmission(SYS_PAIR, 6.1, 6.3, n)
             assert bits(ks_a) == bits(ks_b) and bits(ts_a) == bits(ts_b)
 
+    @pytest.mark.parametrize("n, message", [
+        (2.5, "n_points must be an integer >= 2, got 2.5"),
+        (math.inf, "n_points must be finite, got inf"),
+    ], ids=["2.5", "inf"])
+    def test_non_integral_counts_refused(self, n, message):
+        # int() made 2.5 two points, and crashed on inf and NaN
+        with pytest.raises(InvalidParameterError) as info:
+            spectrum.sample_transmission(SYS_EMPTY, 2.0, 4.0, n)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n, message", [
+        (1, "n_points must be >= 2, got 1"),
+        (math.nan, "n_points must be finite, got nan"),
+        (-math.inf, "n_points must be >= 2, got -inf"),
+        (spectrum._MAX_GRID_POINTS + 1, "n_points 5000001 exceeds 5000000"),
+    ], ids=["1", "nan", "-inf", "bound+1"])
+    def test_refusal_messages(self, n, message):
+        with pytest.raises(InvalidParameterError) as info:
+            spectrum.sample_transmission(SYS_EMPTY, 2.0, 4.0, n)
+        assert str(info.value) == message
+
     def test_samples_are_lists_below_the_bound(self):
         n = core_scatter.SCALAR_GRID_WORK // 2   # SYS_PAIR has two hops
         for points, kind in ((501, list), (n, list), (n + 1, np.ndarray)):
@@ -173,6 +194,28 @@ class TestFindPeaks:
             find_peaks(SYS_EMPTY, 2.9, 3.2, grid_per_kappa=5)
         with pytest.raises(InvalidParameterError):
             find_peaks(CavitySystem.empty(0.0), 2.9, 3.2)
+
+    @pytest.mark.parametrize("density, message", [
+        (math.nan, "grid_per_kappa must be >= 10, got nan"),
+        (-math.inf, "grid_per_kappa must be >= 10, got -inf"),
+        (math.inf, "grid_per_kappa must be finite, got inf"),
+        (10**400, "grid_per_kappa must be finite, got 1" + "0" * 400),
+        (1e308, "window needs inf grid points (> 5000000); narrow the "
+                "window or lower grid_per_kappa"),
+    ], ids=["nan", "-inf", "inf", "10**400", "1e308"])
+    def test_non_finite_grid_density_refused(self, density, message):
+        # NaN raised ValueError, inf ZeroDivisionError and the others
+        # OverflowError
+        with pytest.raises(InvalidParameterError) as info:
+            find_peaks(SYS_EMPTY, 2.9, 3.2, grid_per_kappa=density)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("k_max", [1e308, 1e300])
+    def test_overflowing_window_refused(self, k_max):
+        # 1e308 needs inf points, 1e300 a finite count past the bound
+        with pytest.raises(InvalidParameterError,
+                           match=r"^window needs (inf|\d+) grid points"):
+            find_peaks(SYS_EMPTY, 3.0, k_max)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_same_peaks_on_either_kernel_at_the_bound(self, extra,
@@ -759,6 +802,12 @@ class TestFindMergePoint:
         for ends in ((1e-170, -1e-170), (0.0, -250.0), (-0.0, -250.0)):
             with pytest.raises(InvalidParameterError):
                 find_merge_point(-10.0, ends)
+
+    def test_zero_mirror_refusal_names_zeta(self):
+        # zeta_m_star = 0 made the CLI's default range (0.0, 0.0)
+        with pytest.raises(InvalidParameterError,
+                           match="^zeta = 0 has no resonances"):
+            find_merge_point(0.0, (0.0, 0.0))
 
     @pytest.mark.parametrize("zeta", [-3.0, -10.0, -30.0, -100.0, -1000.0])
     def test_fold_is_the_closed_form_threshold(self, zeta):
